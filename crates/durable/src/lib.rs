@@ -37,7 +37,9 @@ mod record;
 mod state;
 
 pub use crate::log::{DurabilityMode, DurableLog, DurableMetrics, DurableOptions, ReplayOutcome};
-pub use crate::record::{combine_csv, frame, parse_frame, Record, FRAME_MAGIC};
+pub use crate::record::{
+    combine_csv, combine_fingerprint, ends_mid_line, frame, parse_frame, Record, FRAME_MAGIC,
+};
 pub use crate::state::{
     decode_snapshot, encode_snapshot, CsvChain, CsvLoc, Materializer, SessionState, SnapshotState,
     TableState, MAX_SESSION_QUERIES,

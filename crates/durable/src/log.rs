@@ -31,7 +31,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use ziggy_obs::span::{self, FlightRecorder};
 use ziggy_obs::Histogram;
 
-use crate::record::{combine_csv, frame, parse_frame, Record};
+use crate::record::{combine_csv_into, frame, parse_frame, Record};
 use crate::state::{
     decode_snapshot, encode_snapshot, CsvChain, CsvLoc, Materializer, SnapshotState,
     SNAPSHOT_CHECKSUM_MISMATCH,
@@ -570,7 +570,9 @@ impl DurableLog {
     /// re-runs the materializer's composition rule — records at or
     /// below the base's timestamp are already folded into it (the
     /// snapshot-race window) and skip — so export, replay, and the live
-    /// registry all produce the identical byte string.
+    /// registry all produce the identical byte string. Appends compose
+    /// in place onto one buffer, so the walk is linear in the table's
+    /// bytes however long the chain.
     pub fn table_csv(&self, table: &str) -> Option<String> {
         let chain = self
             .inner
@@ -604,7 +606,7 @@ impl DurableLog {
             }) = self.read_record(file, *offset)
             {
                 if rec_table == table && rec_ts > ts {
-                    csv = combine_csv(&csv, &rows);
+                    combine_csv_into(&mut csv, &rows);
                     ts = rec_ts;
                 }
             }

@@ -14,7 +14,7 @@
 //! binary can replay a log with records it predates without dying.
 
 use serde_json::{Number, Value};
-use ziggy_store::fnv1a_64;
+use ziggy_store::{fnv1a_64, Fnv1a64};
 
 /// The framing magic. Bump to `ZR2` only with a replay shim for `ZR1`.
 pub const FRAME_MAGIC: &str = "ZR1";
@@ -210,18 +210,45 @@ impl Record {
 
 /// Concatenates appended rows onto a base CSV, inserting the newline a
 /// truncated base may be missing. This is THE append-composition rule:
-/// the registry uses it to fingerprint the live table, the materializer
-/// uses it at replay, and the log's export path uses it when stitching
-/// a table back together from its record chain — all three must build
-/// the identical byte string or replay stops being byte-faithful.
+/// the materializer uses it at replay, the log's export path when
+/// stitching a table back together from its record chain, and the
+/// registry for in-memory tables — all must build the identical byte
+/// string or replay stops being byte-faithful. [`combine_fingerprint`]
+/// is its hash-side twin.
 pub fn combine_csv(base: &str, rows: &str) -> String {
     let mut out = String::with_capacity(base.len() + rows.len() + 1);
     out.push_str(base);
-    if !base.is_empty() && !base.ends_with('\n') {
-        out.push('\n');
-    }
-    out.push_str(rows);
+    combine_csv_into(&mut out, rows);
     out
+}
+
+/// [`combine_csv`] in place: composes `rows` onto the end of `csv`
+/// without copying the base, so folding a chain of appends stays
+/// linear in the bytes produced.
+pub(crate) fn combine_csv_into(csv: &mut String, rows: &str) {
+    if ends_mid_line(csv) {
+        csv.push('\n');
+    }
+    csv.push_str(rows);
+}
+
+/// Whether composing rows onto `csv` must first insert a newline: the
+/// text is non-empty and its last line is unterminated.
+pub fn ends_mid_line(csv: &str) -> bool {
+    !csv.is_empty() && !csv.ends_with('\n')
+}
+
+/// The FNV-1a fingerprint of `combine_csv(base, rows)`, computed from
+/// the base's fingerprint and [`ends_mid_line`]`(base)` alone. FNV-1a
+/// has no finalisation step, so hashing resumes where the base's hash
+/// stopped and an append costs O(rows), not O(table).
+pub fn combine_fingerprint(base_fingerprint: u64, base_ends_mid_line: bool, rows: &str) -> u64 {
+    let mut hasher = Fnv1a64::resume(base_fingerprint);
+    if base_ends_mid_line {
+        hasher.update(b"\n");
+    }
+    hasher.update(rows.as_bytes());
+    hasher.finish()
 }
 
 /// Frames a payload as one log line: magic, LSN, payload checksum,
@@ -335,6 +362,22 @@ mod tests {
         // combined batch equals two chained appends byte for byte.
         let two_step = combine_csv(&combine_csv("h\n1\n", "2\n"), "3\n");
         assert_eq!(two_step, combine_csv("h\n1\n", "2\n3\n"));
+    }
+
+    #[test]
+    fn combine_fingerprint_hashes_what_combine_csv_builds() {
+        for (base, rows) in [
+            ("", "1,2\n"),
+            ("", ""),
+            ("a,b\n", "1,2\n"),
+            ("a,b", "1,2\n"),
+            ("a,b", ""),
+            ("a,b\n1,2", "3,4"),
+        ] {
+            let resumed = combine_fingerprint(fnv1a_64(base.as_bytes()), ends_mid_line(base), rows);
+            let expected = fnv1a_64(combine_csv(base, rows).as_bytes());
+            assert_eq!(resumed, expected, "{base:?} + {rows:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use serde_json::{Number, Value};
 
-use crate::record::{combine_csv, Record};
+use crate::record::{combine_csv_into, Record};
 
 /// Sessions keep at most this many replayable queries, mirroring the
 /// serve layer's history cap. Older queries age out; a restored
@@ -208,7 +208,7 @@ impl Materializer {
                 // (the snapshot-race window) ties on ts and is skipped.
                 if let Some(t) = self.tables.get_mut(table) {
                     if *ts > t.ts {
-                        t.csv = combine_csv(&t.csv, rows);
+                        combine_csv_into(&mut t.csv, rows);
                         t.fingerprint = *fingerprint;
                         t.ts = *ts;
                         t.appends.push(loc);

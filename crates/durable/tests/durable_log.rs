@@ -8,7 +8,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ziggy_durable::{DurabilityMode, DurableLog, DurableOptions, Record, SnapshotState};
+use ziggy_durable::{
+    combine_csv, combine_fingerprint, ends_mid_line, DurabilityMode, DurableLog, DurableOptions,
+    Record, SnapshotState,
+};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir =
@@ -131,6 +134,43 @@ fn rotation_snapshot_compaction_and_replay() {
     assert_eq!(names, vec!["t0", "t1", "t2", "t3", "t9"]);
     assert_eq!(log.table_csv("t9").as_deref(), Some("z\n9\n"));
     assert_eq!(log.table_csv("t2").as_deref(), Some("x,y\n1,2\n3,4\n"));
+    drop(log);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn append_chain_exports_and_replays_as_one_fold() {
+    let dir = test_dir("chain");
+    let base = "h,v\n0,0";
+    let batches: Vec<String> = (1..=12).map(|i| format!("{i},{}\n", i * i)).collect();
+    let folded = batches
+        .iter()
+        .fold(base.to_string(), |csv, rows| combine_csv(&csv, rows));
+    {
+        let (log, _) = DurableLog::open(&dir, opts(DurabilityMode::Fsync)).unwrap();
+        log.append(&ingest("t", 1, base)).unwrap();
+        let mut fingerprint = ziggy_store::fnv1a_64(base.as_bytes());
+        let mut mid_line = ends_mid_line(base);
+        for (i, rows) in batches.iter().enumerate() {
+            fingerprint = combine_fingerprint(fingerprint, mid_line, rows);
+            mid_line = ends_mid_line(rows);
+            log.append(&Record::Append {
+                table: "t".into(),
+                fingerprint,
+                ts: 2 + i as u64,
+                rows: rows.clone(),
+            })
+            .unwrap();
+        }
+        // The chain spans several 512-byte segments.
+        assert!(log.segment_count() > 1);
+        assert_eq!(log.table_csv("t").as_deref(), Some(folded.as_str()));
+    }
+    let (log, replay) = DurableLog::open(&dir, opts(DurabilityMode::Fsync)).unwrap();
+    let t = &replay.state.tables[0];
+    assert_eq!(t.csv, folded);
+    assert_eq!(t.fingerprint, ziggy_store::fnv1a_64(folded.as_bytes()));
+    assert_eq!(log.table_csv("t").as_deref(), Some(folded.as_str()));
     drop(log);
     let _ = fs::remove_dir_all(&dir);
 }

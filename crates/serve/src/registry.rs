@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use serde_json::Value;
 use ziggy_core::{Ziggy, ZiggyConfig};
-use ziggy_durable::{combine_csv, wall_ms, DurableLog, Record};
+use ziggy_durable::{combine_csv, combine_fingerprint, ends_mid_line, wall_ms, DurableLog, Record};
 use ziggy_store::csv::{read_csv_str, CsvOptions};
 use ziggy_store::{append_rows_csv, StatsCache, Table};
 
@@ -64,6 +64,12 @@ pub struct TableEntry {
     /// or replicated upload of the *same* table is idempotent while a
     /// name collision with *different* content stays a conflict.
     fingerprint: Option<u64>,
+    /// Whether the source CSV's last line is unterminated, so the next
+    /// append inserts a newline before its rows. Only an ingested or
+    /// replayed base can end mid-line: appended rows are always
+    /// newline-terminated. Together with `fingerprint` it is all an
+    /// append needs to fingerprint the combined table.
+    ends_mid_line: bool,
     /// Hybrid-logical-clock timestamp of the winning ingest (0 for
     /// provenance-free registrations). Repair compares it against
     /// tombstone timestamps to tell a deleted table from a recreated
@@ -296,6 +302,7 @@ impl TableRegistry {
             name: name.to_string(),
             engine: Ziggy::shared(Arc::new(table), config),
             fingerprint: provenance.map(|(fp, _)| fp),
+            ends_mid_line: provenance.is_some_and(|(_, csv)| ends_mid_line(csv)),
             ts,
             csv: csv_source,
         });
@@ -330,15 +337,18 @@ impl TableRegistry {
 
     /// Appends headerless CSV rows to a live CSV-ingested table.
     ///
-    /// The append is *incremental* end to end: the new immutable table
-    /// extends the old columns ([`append_rows_csv`] guarantees rebuild
-    /// equivalence), the new engine inherits the warm whole-table
-    /// statistics and zone maps through [`StatsCache::for_appended`]
-    /// (only the tail chunk's summaries rebuild), and every derived
-    /// cache above them starts empty — exactly the artifacts the new
-    /// rows dirty. The append record is WAL-logged **before** the entry
-    /// swap, so replay reproduces the appended table byte-identically
-    /// (fingerprint taken over the combined `old CSV ++ rows` bytes).
+    /// The new immutable table extends the old columns
+    /// ([`append_rows_csv`] guarantees rebuild equivalence, but copies
+    /// every column: O(table)). The new engine inherits the warm
+    /// whole-table statistics and zone maps through
+    /// [`StatsCache::for_appended`] (only the tail chunk's summaries
+    /// rebuild), and every derived cache above them starts empty —
+    /// exactly the artifacts the new rows dirty. The new fingerprint —
+    /// FNV-1a over the combined `old CSV ++ rows` bytes — resumes from
+    /// the old one with [`combine_fingerprint`], so the old CSV is never
+    /// read back: no log read on the durable path, no rehash anywhere.
+    /// The append record is WAL-logged **before** the entry swap, so
+    /// replay reproduces the appended table byte-identically.
     ///
     /// Returns the new entry plus the number of rows appended. Sessions
     /// pinned to the old entry keep reading their snapshot; new
@@ -350,11 +360,11 @@ impl TableRegistry {
         config: ZiggyConfig,
     ) -> Result<(Arc<TableEntry>, usize), ApiError> {
         let entry = self.get(name)?;
-        if entry.fingerprint.is_none() {
+        let Some(old_fingerprint) = entry.fingerprint else {
             return Err(ApiError::conflict(format!(
                 "table `{name}` has no CSV provenance; only CSV-ingested tables accept appends"
             )));
-        }
+        };
         // Normalize to newline-terminated rows so the logged record,
         // the fingerprint, and every future combine agree byte for byte.
         let rows: String = if rows.ends_with('\n') {
@@ -365,21 +375,19 @@ impl TableRegistry {
         let new_table = append_rows_csv(entry.table(), &rows, &CsvOptions::default())
             .map_err(|e| ApiError::unprocessable(format!("append rejected: {e}")))?;
         let appended = new_table.n_rows() - entry.table().n_rows();
-        let old_csv = entry
-            .export_csv()
-            .ok_or_else(|| ApiError::internal(format!("table `{name}` lost its CSV bytes")))?;
-        let combined = combine_csv(&old_csv, &rows);
-        let fingerprint = fnv1a_64(combined.as_bytes());
+        let fingerprint = combine_fingerprint(old_fingerprint, entry.ends_mid_line, &rows);
         let ts = self.hlc_now();
         let cache = Arc::new(entry.cache().for_appended(Arc::new(new_table)));
         let new_entry = Arc::new(TableEntry {
             name: name.to_string(),
             engine: Ziggy::from_stats(cache, config),
             fingerprint: Some(fingerprint),
+            // `rows` is newline-terminated (normalized above).
+            ends_mid_line: false,
             ts,
             csv: match &entry.csv {
                 CsvSource::Durable(log) => CsvSource::Durable(Arc::clone(log)),
-                CsvSource::Memory(_) => CsvSource::Memory(Arc::from(combined.as_str())),
+                CsvSource::Memory(old) => CsvSource::Memory(Arc::from(combine_csv(old, &rows))),
                 CsvSource::None => unreachable!("provenance checked above"),
             },
         });
@@ -539,6 +547,7 @@ impl TableRegistry {
             name: name.to_string(),
             engine: Ziggy::shared(Arc::new(table), config),
             fingerprint: Some(fingerprint),
+            ends_mid_line: ends_mid_line(csv),
             ts,
             csv: CsvSource::Durable(log),
         });
@@ -922,6 +931,127 @@ mod tests {
         assert!(e.export_csv().unwrap().ends_with("11,12\n"));
         // The old pinned entry still serves its snapshot.
         assert_eq!(old.table().n_rows(), 3);
+    }
+
+    /// A base CSV whose last line has no newline: the next append must
+    /// insert one, in the bytes and in the resumed fingerprint alike.
+    const UNTERMINATED: &str = "x,y\n1,2\n3,4";
+
+    /// The invariants every CSV-backed entry keeps, whatever its
+    /// history: its fingerprint is the FNV-1a of its export, and
+    /// re-uploading that export is an idempotent no-op, never a 409.
+    fn assert_export_consistent(r: &TableRegistry, name: &str) {
+        let entry = r.get(name).unwrap();
+        let csv = entry.export_csv().unwrap();
+        assert_eq!(
+            entry.fingerprint(),
+            Some(fnv1a_64(csv.as_bytes())),
+            "{name}"
+        );
+        let (same, created) = r.replicate_csv(name, &csv, ZiggyConfig::default()).unwrap();
+        assert!(!created, "{name}");
+        assert!(Arc::ptr_eq(&same, &entry), "{name}");
+    }
+
+    #[test]
+    fn unterminated_base_appends_stay_consistent_in_memory() {
+        let r = TableRegistry::new();
+        r.insert_csv("t", UNTERMINATED, ZiggyConfig::default())
+            .unwrap();
+        assert_export_consistent(&r, "t");
+        r.append_rows("t", "5,6\n", ZiggyConfig::default()).unwrap();
+        assert_export_consistent(&r, "t");
+        r.append_rows("t", "7,8", ZiggyConfig::default()).unwrap();
+        assert_export_consistent(&r, "t");
+        assert_eq!(
+            r.get("t").unwrap().export_csv().as_deref(),
+            Some("x,y\n1,2\n3,4\n5,6\n7,8\n")
+        );
+    }
+
+    fn open_durable(dir: &std::path::Path) -> (TableRegistry, Arc<DurableLog>) {
+        let opts = ziggy_durable::DurableOptions {
+            mode: ziggy_durable::DurabilityMode::Fsync,
+            snapshot_every: 0,
+            ..Default::default()
+        };
+        let (log, replay) = DurableLog::open(dir, opts).unwrap();
+        let log = Arc::new(log);
+        let r = TableRegistry::new();
+        r.attach_durable(Arc::clone(&log));
+        for t in &replay.state.tables {
+            r.restore_table(&t.name, &t.csv, t.fingerprint, t.ts, ZiggyConfig::default())
+                .unwrap();
+        }
+        (r, log)
+    }
+
+    fn snapshot(r: &TableRegistry, log: &DurableLog) {
+        let cover = log.begin_snapshot().unwrap();
+        let state = ziggy_durable::SnapshotState {
+            tables: r.snapshot_tables(),
+            tombstones: r.tombstones(),
+            sessions: Vec::new(),
+        };
+        log.write_snapshot(cover, &state).unwrap();
+    }
+
+    #[test]
+    fn unterminated_base_appends_stay_consistent_through_replay_and_snapshot() {
+        let dir = std::env::temp_dir().join(format!(
+            "ziggy-serve-registry-{}-unterminated",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let names = ["grown", "restored", "snapped"];
+        {
+            let (r, _log) = open_durable(&dir);
+            for name in names {
+                r.insert_csv(name, UNTERMINATED, ZiggyConfig::default())
+                    .unwrap();
+                assert_export_consistent(&r, name);
+            }
+            // Appended onto the mid-line base read back from the WAL.
+            r.append_rows("grown", "5,6\n", ZiggyConfig::default())
+                .unwrap();
+            assert_export_consistent(&r, "grown");
+        }
+        {
+            // Replayed from segments: "restored" and "snapped" come back
+            // still ending mid-line.
+            let (r, log) = open_durable(&dir);
+            for name in names {
+                assert_export_consistent(&r, name);
+            }
+            r.append_rows("restored", "5,6\n", ZiggyConfig::default())
+                .unwrap();
+            r.append_rows("grown", "7,8\n", ZiggyConfig::default())
+                .unwrap();
+            snapshot(&r, &log);
+            // Exports now stitch from the snapshot.
+            for name in names {
+                assert_export_consistent(&r, name);
+            }
+        }
+        {
+            // Replayed from the snapshot: "snapped" still ends mid-line.
+            let (r, _log) = open_durable(&dir);
+            for name in names {
+                assert_export_consistent(&r, name);
+                r.append_rows(name, "9,10\n", ZiggyConfig::default())
+                    .unwrap();
+                assert_export_consistent(&r, name);
+            }
+            assert_eq!(
+                r.get("snapped").unwrap().export_csv().as_deref(),
+                Some("x,y\n1,2\n3,4\n9,10\n")
+            );
+            assert_eq!(
+                r.get("grown").unwrap().export_csv().as_deref(),
+                Some("x,y\n1,2\n3,4\n5,6\n7,8\n9,10\n")
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -655,7 +655,7 @@ fn handle_export_csv(state: &ServeState, name: &str) -> Result<Response, ApiErro
         200,
         &Value::Object(vec![
             ("name".into(), Value::String(name.to_string())),
-            ("csv".into(), Value::String(csv.to_string())),
+            ("csv".into(), Value::String(csv)),
             ("fingerprint".into(), Value::String(fingerprint)),
         ]),
     ))
@@ -1513,6 +1513,97 @@ mod tests {
         assert_eq!(r.status, 404, "{}", r.body);
         let r = route(&state, &request("POST", "/tables/t/csv", ""));
         assert_eq!(r.status, 405);
+    }
+
+    /// Route-level twin of the registry invariant: the exported bytes,
+    /// the exported fingerprint and the entry's fingerprint agree, and
+    /// re-uploading the export is idempotent (200, not 409).
+    fn assert_route_export_consistent(state: &ServeState, name: &str) {
+        let r = route(state, &request("GET", &format!("/tables/{name}/csv"), ""));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let v = serde_json::from_str_value(&r.body).unwrap();
+        let csv = v.get("csv").unwrap().as_str().unwrap().to_string();
+        let fp = crate::fnv1a_64(csv.as_bytes());
+        assert_eq!(
+            v.get("fingerprint").unwrap().as_str(),
+            Some(format!("{fp:016x}").as_str())
+        );
+        assert_eq!(state.registry.get(name).unwrap().fingerprint(), Some(fp));
+        let put_body =
+            serde_json::to_string(&Value::Object(vec![("csv".into(), Value::String(csv))]))
+                .unwrap();
+        let r = route(
+            state,
+            &request("PUT", &format!("/tables/{name}"), &put_body),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains("\"created\":false"), "{}", r.body);
+    }
+
+    /// Ingests a CSV whose last line is unterminated, then appends to
+    /// it, checking the export after each step.
+    fn ingest_unterminated_and_append(state: &ServeState) {
+        let r = route(
+            state,
+            &request(
+                "POST",
+                "/tables",
+                r#"{"name":"t","csv":"key,hot,cold\n1,2,3\n4,5,6"}"#,
+            ),
+        );
+        assert_eq!(r.status, 201, "{}", r.body);
+        assert_route_export_consistent(state, "t");
+        let r = route(
+            state,
+            &request("POST", "/tables/t/rows", r#"{"rows":"7,8,9\n"}"#),
+        );
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_route_export_consistent(state, "t");
+    }
+
+    #[test]
+    fn unterminated_base_export_is_consistent_in_memory() {
+        ingest_unterminated_and_append(&ServeState::default());
+    }
+
+    #[test]
+    fn unterminated_base_export_is_consistent_across_replay() {
+        // snapshot_every = 0 replays from segments; 1 snapshots after
+        // every mutating request, so replay starts from a snapshot.
+        for snapshot_every in [0, 1] {
+            let dir = std::env::temp_dir().join(format!(
+                "ziggy-serve-router-{}-unterminated-{snapshot_every}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let boot = |state: &ServeState| {
+                crate::boot_durable(state, &dir, crate::DurabilityMode::Fsync, snapshot_every)
+                    .unwrap()
+            };
+            {
+                let state = ServeState::default();
+                boot(&state);
+                ingest_unterminated_and_append(&state);
+            }
+            let state = ServeState::default();
+            boot(&state);
+            assert_route_export_consistent(&state, "t");
+            let r = route(
+                &state,
+                &request("POST", "/tables/t/rows", r#"{"rows":"10,11,12"}"#),
+            );
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert_route_export_consistent(&state, "t");
+            let r = route(&state, &request("GET", "/tables/t/csv", ""));
+            assert!(
+                r.body
+                    .contains(r#""csv":"key,hot,cold\n1,2,3\n4,5,6\n7,8,9\n10,11,12\n""#),
+                "{}",
+                r.body
+            );
+            drop(state);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use chunk::{
 pub use column::Column;
 pub use error::StoreError;
 pub use expr::{CmpOp, Expr, Literal};
-pub use hash::fnv1a_64;
+pub use hash::{fnv1a_64, Fnv1a64};
 pub use mask::Bitmask;
 pub use parse::parse_predicate;
 pub use schema::{ColumnMeta, ColumnType, Schema};
