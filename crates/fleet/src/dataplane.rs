@@ -1,77 +1,61 @@
-//! The router's event-driven data plane.
+//! The router's data plane: the characterize and CSV-export relay.
 //!
-//! The hot proxy path (`POST /tables/{t}/characterize`) is a pure relay:
-//! parse a request head, pick a replica, copy bytes upstream, copy the
-//! response back. A thread-per-connection router spends most of its time
-//! parked in blocking reads, and under keep-alive benchmark load the
-//! thread pool itself becomes the bottleneck (`N` clients need `N`
-//! dedicated threads plus one blocked upstream socket each).
-//!
-//! This module replaces that with a single-threaded epoll reactor
-//! (`shims/mio`) driving every socket as a state machine:
+//! The router runs on the one HTTP plane in [`ziggy_serve::http`]. Its
+//! reactor accepts, parses, pipelines and flushes every client
+//! connection, and its worker pool runs the router's control-plane
+//! handler (admin, sessions, scatter-gather, metrics, …). This module
+//! plugs the relay into that reactor as its [`Hook`], so
+//! `POST /tables/{t}/characterize` and `GET /tables/{t}/csv` never leave
+//! the event loop:
 //!
 //! ```text
-//!            ┌────────────────────── reactor thread ───────────────────┐
-//!  clients ──▶ accept ─▶ ClientConn {rbuf ─▶ pipeline ─▶ wbuf}         │
-//!            │              │ hot (characterize)     │ everything else │
-//!            │              ▼                        ▼                 │
-//!            │           Relay ─▶ UpstreamConn    mpsc ─▶ worker pool  │
-//!            │              (mux keep-alive pool)   (blocking handler) │
-//!            └─────────────────────────────────────────────────────────┘
+//!            ┌─────────────────────── reactor thread ────────────────────────┐
+//!  clients ──▶ http::Plane (accept, parse, slots) ──▶ Hook::claim            │
+//!            │        ▲                                  │ relayed  │ other   │
+//!            │        │ Plane::deliver                   ▼          ▼         │
+//!            │        └──────────── Relay ─▶ UpstreamConn    worker pool      │
+//!            │                      (failover walk)  (mux keep-alive pool)    │
+//!            └───────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! * **Zero-copy relay** — request and response bodies move as byte
-//!   ranges between buffers; the hot path never materializes an
-//!   intermediate `String` or re-parses the backend's JSON.
+//! * **Byte relay** — request and response bodies move as byte ranges
+//!   between buffers; the relay never re-parses the backend's JSON, and
+//!   frames the answer through the plane's one response framer.
 //! * **Multiplexed upstream pools** — each backend gets a small set of
 //!   keep-alive connections; multiple client requests pipeline onto one
 //!   upstream socket (HTTP/1.1 responses come back in order, so a
 //!   per-connection FIFO of relay ids reunites them).
-//! * **Keep-alive + pipelining on the client side** — a client may send
-//!   many requests on one connection without waiting; responses are
-//!   queued per-connection and flushed strictly in request order.
-//! * **Threaded control plane** — admin, sessions, scatter-gather,
-//!   metrics, and every other route offload to a small worker pool
-//!   running the same handler closure the threaded server used; only
-//!   the latency-critical relay lives on the event loop.
+//! * **Failover walk** — replicas are tried in [`FleetState`] read
+//!   order. A 404 or 5xx is remembered (a non-404 wins) and the next
+//!   replica tried; a transport failure marks the backend and moves on;
+//!   a stale pooled connection is retried once on a fresh one. With every
+//!   replica tried, the remembered answer is returned, else a 503.
 //!
-//! Failover, tracing, metrics, logging, and throttling on the hot path
-//! mirror the threaded router exactly (same counters, same span shapes,
-//! same fallback rules as [`crate::router`]'s `proxy_read_with_failover`),
-//! so observability output is indistinguishable from the threaded path.
+//! Each relay records what a handler request records: a `fleet.request`
+//! root span with one `fleet.upstream` child per leg, the route
+//! histogram, the slow-query line, the access-log line, and the routing
+//! counters (throttled requests are traced and logged but not routed).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use parking_lot::Mutex;
 use serde_json::{Number, Value};
 use ziggy_obs::span::{self, Span, SPAN_CONTEXT_HEADER};
-use ziggy_obs::trace::{mint_trace_id, sanitize_trace_id, TRACE_HEADER};
+use ziggy_obs::trace::{mint_trace_id, TRACE_HEADER};
 use ziggy_serve::http::{
-    encode_response, reason, try_parse_request, try_parse_response_head, EdgeObserver, Handler,
-    Request, ResponseHead,
+    apply_interest, encode, try_parse_response_head, EdgeObserver, Handler, Hook, Plane, Request,
+    ResponseHead, Server, SlotId,
 };
-use ziggy_serve::{AccessLog, RateLimiter, Response};
+use ziggy_serve::limit::throttle;
+use ziggy_serve::{AccessLog, RateLimiter};
 
 use crate::backend::Backend;
 use crate::router::{fleet_route_key, FleetState};
-
-/// Max concurrent client connections the reactor tracks; beyond this,
-/// new connections get an immediate 503 and close (same contract as the
-/// threaded server's over-capacity refusal).
-const MAX_CONNS: usize = 1024;
-
-/// Max requests a single client connection may have in flight
-/// (pipelined) before the reactor stops reading from it. Responses
-/// always flush in request order, so this bounds per-connection memory.
-const CLIENT_PIPELINE_CAP: usize = 32;
 
 /// Max in-flight requests multiplexed onto one upstream connection
 /// before the pool opens another.
@@ -80,10 +64,6 @@ const UPSTREAM_DEPTH: usize = 32;
 /// Max keep-alive connections per backend.
 const UPSTREAM_CONNS_PER_BACKEND: usize = 8;
 
-/// Idle client connections are closed after this long (matches the
-/// threaded server's keep-alive timeout).
-const CLIENT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
-
 /// An upstream leg that has made no read progress for this long fails
 /// the connection (and the relays on it fail over / retry).
 const UPSTREAM_STALL_TIMEOUT: Duration = Duration::from_secs(30);
@@ -91,15 +71,6 @@ const UPSTREAM_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 /// Idle upstream connections are closed before the backend's 60s
 /// keep-alive timeout would close them under us mid-request.
 const UPSTREAM_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Poll timeout: the reactor wakes at least this often to run sweeps.
-const POLL_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// How often idle/stall sweeps run.
-const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
-
-const TOKEN_LISTENER: Token = Token(0);
-const TOKEN_WAKER: Token = Token(1);
 
 /// Per-backend connection-pool gauge: how many reactor-owned upstream
 /// connections exist and whether they are busy.
@@ -120,9 +91,9 @@ pub struct DataPlaneStats {
     pub loop_iterations: AtomicU64,
     /// Waker-driven wakeups (offload completions ready).
     pub wakeups: AtomicU64,
-    /// Requests served on the event loop's zero-copy relay path.
+    /// Requests answered by the relay on the event loop.
     pub hot_requests: AtomicU64,
-    /// Requests offloaded to the threaded control-plane workers.
+    /// Requests offloaded to the control-plane worker pool.
     pub offloaded_requests: AtomicU64,
     /// Relay legs that rode an existing upstream connection.
     pub pool_checkouts: AtomicU64,
@@ -197,201 +168,56 @@ pub struct DataPlaneConfig {
     pub threads: usize,
     /// Router-edge rate limiter, shared with the offload handler.
     pub limiter: Option<Arc<RateLimiter>>,
-    /// Access log (the reactor writes hot-path lines itself).
+    /// Access log (the relay writes its own lines).
     pub log: Arc<AccessLog>,
     /// Observer for edge rejections (over-capacity 503, malformed 400).
     pub edge: Option<EdgeObserver>,
 }
 
-/// A running event-loop router front-end: one reactor thread plus a
-/// worker pool for the threaded control plane.
+/// A running router front-end: the HTTP plane with the relay hooked in.
 pub struct DataPlane {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Server,
 }
 
 impl DataPlane {
-    /// Binds `addr` and starts the reactor. `handler` serves every
-    /// non-hot route on the worker pool (it is the same closure the
-    /// threaded server ran, so control-plane behavior is unchanged).
+    /// Binds `addr` and starts the plane. `handler` serves every route
+    /// the relay does not claim, on the worker pool.
     pub fn start(
         addr: impl ToSocketAddrs,
         state: Arc<FleetState>,
         handler: Handler,
         config: DataPlaneConfig,
     ) -> io::Result<DataPlane> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
-        let poll = Poll::new()?;
-        let registry = poll.registry();
-        registry.register(&listener, TOKEN_LISTENER, Interest::READABLE)?;
-        let waker = Arc::new(Waker::new(&registry, TOKEN_WAKER)?);
-        let stop = Arc::new(AtomicBool::new(false));
-        let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-        let (jobs_tx, jobs_rx) = channel::<Job>();
-        let jobs_rx = Arc::new(std::sync::Mutex::new(jobs_rx));
-        let workers = (0..config.threads.max(1))
-            .map(|i| {
-                let rx = Arc::clone(&jobs_rx);
-                let handler = Arc::clone(&handler);
-                let completions = Arc::clone(&completions);
-                let waker = Arc::clone(&waker);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name(format!("fleet-ctl-{i}"))
-                    .spawn(move || control_worker(rx, handler, completions, waker, stop))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
-        let reactor = {
-            let stop = Arc::clone(&stop);
-            let waker = Arc::clone(&waker);
-            let stats = Arc::clone(&state.dataplane);
-            std::thread::Builder::new()
-                .name("fleet-reactor".into())
-                .spawn(move || {
-                    let mut reactor = Reactor {
-                        poll,
-                        listener,
-                        state,
-                        stats,
-                        limiter: config.limiter,
-                        log: config.log,
-                        edge: config.edge,
-                        stop,
-                        waker,
-                        jobs: jobs_tx,
-                        completions,
-                        conns: HashMap::new(),
-                        next_conn: 1,
-                        relays: HashMap::new(),
-                        next_relay: 1,
-                        upstreams: HashMap::new(),
-                        next_upstream: 1,
-                        pools: HashMap::new(),
-                        last_sweep: Instant::now(),
-                    };
-                    reactor.run();
-                })?
+        let relays = Relays {
+            stats: Arc::clone(&state.dataplane),
+            state,
+            limiter: config.limiter,
+            log: config.log,
+            relays: HashMap::new(),
+            next_relay: 0,
+            upstreams: HashMap::new(),
+            next_upstream: 0,
+            pools: HashMap::new(),
         };
-        Ok(DataPlane {
-            local_addr,
-            stop,
-            waker,
-            reactor: Some(reactor),
-            workers,
-        })
+        let server =
+            Server::start_with_hook(addr, config.threads, handler, config.edge, Box::new(relays))?;
+        Ok(DataPlane { server })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
     /// Stops the reactor and the worker pool, joining all threads.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = self.waker.wake();
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One offloaded request, executed by a control-plane worker.
-struct Job {
-    conn: u64,
-    seq: u64,
-    req: Request,
-    close: bool,
-}
-
-/// A finished offloaded response, ready to enqueue on its connection.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    bytes: Vec<u8>,
-    close: bool,
-}
-
-fn control_worker(
-    rx: Arc<std::sync::Mutex<Receiver<Job>>>,
-    handler: Handler,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    waker: Arc<Waker>,
-    stop: Arc<AtomicBool>,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let job = {
-            let guard = match rx.lock() {
-                Ok(g) => g,
-                Err(_) => return,
-            };
-            match guard.recv_timeout(Duration::from_millis(100)) {
-                Ok(job) => job,
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        };
-        let response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (handler)(&job.req)))
-                .unwrap_or_else(|_| Response::new(500, r#"{"error":"internal server error"}"#));
-        let bytes = encode_response(&response, job.close);
-        completions.lock().push(Completion {
-            conn: job.conn,
-            seq: job.seq,
-            bytes,
-            close: job.close,
-        });
-        let _ = waker.wake();
-    }
-}
-
-/// A response slot in a client connection's pipeline: filled when the
-/// request's response is ready; flushed strictly in request order.
-struct Slot {
-    seq: u64,
-    bytes: Option<Vec<u8>>,
-    close: bool,
-}
-
-/// One accepted client connection as a state machine.
-struct ClientConn {
-    stream: TcpStream,
-    token: Token,
-    peer: Option<SocketAddr>,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    pipeline: VecDeque<Slot>,
-    next_seq: u64,
-    /// Currently registered interest bits (bit 0 read, bit 1 write);
-    /// 0 means deregistered.
-    interest: u8,
-    close_after_flush: bool,
-    peer_closed: bool,
-    last_activity: Instant,
-}
-
-impl ClientConn {
-    fn slot_mut(&mut self, seq: u64) -> Option<&mut Slot> {
-        self.pipeline.iter_mut().find(|s| s.seq == seq)
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
 /// One keep-alive upstream connection, multiplexing relays.
 struct UpstreamConn {
     stream: TcpStream,
-    token: Token,
     backend_id: String,
     addr: SocketAddr,
     connected: bool,
@@ -409,21 +235,26 @@ struct UpstreamConn {
     last_activity: Instant,
 }
 
-/// One hot-path request in flight: the client slot it answers, the
-/// replica candidates left to try, and the telemetry for its trace.
-struct Relay {
-    conn: u64,
-    seq: u64,
-    close: bool,
-    table: String,
+/// The telemetry context a relayed request carries from its claim to
+/// its answer (relayed or local).
+struct HotCtx {
+    slot: SlotId,
+    method: &'static str,
     path: String,
-    body: Vec<u8>,
-    if_none_match: Option<String>,
     trace: String,
     remote_parent: Option<String>,
     root_span_id: String,
     started: Instant,
     start_unix_us: u64,
+}
+
+/// One relayed request in flight: the replica candidates left to try
+/// and the current leg.
+struct Relay {
+    ctx: HotCtx,
+    table: String,
+    body: Vec<u8>,
+    if_none_match: Option<String>,
     epoch: u64,
     candidates: Vec<Arc<Backend>>,
     next_candidate: usize,
@@ -436,6 +267,25 @@ struct Relay {
     leg_start_unix_us: u64,
 }
 
+impl Relay {
+    /// The finished `fleet.upstream` span of the current leg.
+    fn leg_span(&self, backend: &Backend, error: bool) -> Span {
+        Span {
+            trace_id: self.ctx.trace.clone(),
+            span_id: self.leg_span_id.clone(),
+            parent_id: Some(self.ctx.root_span_id.clone()),
+            name: "fleet.upstream".into(),
+            start_unix_us: self.leg_start_unix_us,
+            duration_us: self.leg_started.elapsed().as_micros() as u64,
+            attrs: vec![
+                ("backend".into(), backend.id().to_string()),
+                ("path".into(), self.ctx.path.clone()),
+            ],
+            error,
+        }
+    }
+}
+
 fn now_unix_us() -> u64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -443,341 +293,152 @@ fn now_unix_us() -> u64 {
         .unwrap_or(0)
 }
 
-fn interest_bits(bits: u8) -> Interest {
-    match bits {
-        0b01 => Interest::READABLE,
-        0b10 => Interest::WRITABLE,
-        _ => Interest::READABLE.add(Interest::WRITABLE),
+/// The relayed routes, as `(method, table)`: `POST
+/// /tables/{t}/characterize` with any body (the backend answers a bad
+/// one with its own 400) and `GET /tables/{t}/csv`. Both are pure
+/// reads, so legs may fail over and retry.
+fn relay_target(req: &Request) -> Option<(&'static str, String)> {
+    let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    match (req.method.as_str(), segments.as_slice()) {
+        ("POST", ["tables", table, "characterize"]) => Some(("POST", table.to_string())),
+        ("GET", ["tables", table, "csv"]) => Some(("GET", table.to_string())),
+        _ => None,
     }
 }
 
-/// Applies a desired-interest change via register/reregister/deregister
-/// (0 bits = deregistered). Recomputing desired interest and touching
-/// epoll only on change is what keeps level-triggered polling from busy
-/// looping on permanently-writable sockets.
-fn apply_interest(
-    registry: &Registry,
-    stream: &TcpStream,
-    token: Token,
-    current: &mut u8,
-    desired: u8,
-) {
-    if desired == *current {
-        return;
-    }
-    let result = match (*current, desired) {
-        (_, 0) => registry.deregister(stream),
-        (0, _) => registry.register(stream, token, interest_bits(desired)),
-        _ => registry.reregister(stream, token, interest_bits(desired)),
-    };
-    if result.is_ok() {
-        *current = desired;
-    }
-}
-
-struct Reactor {
-    poll: Poll,
-    listener: TcpListener,
+/// The relay: the fleet's [`Hook`] on the HTTP plane.
+struct Relays {
     state: Arc<FleetState>,
     stats: Arc<DataPlaneStats>,
     limiter: Option<Arc<RateLimiter>>,
     log: Arc<AccessLog>,
-    edge: Option<EdgeObserver>,
-    stop: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    jobs: Sender<Job>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-    conns: HashMap<u64, ClientConn>,
-    next_conn: u64,
     relays: HashMap<u64, Relay>,
     next_relay: u64,
     upstreams: HashMap<u64, UpstreamConn>,
     next_upstream: u64,
     /// Upstream connection ids per backend address.
     pools: HashMap<SocketAddr, Vec<u64>>,
-    last_sweep: Instant,
 }
 
-/// Tokens 0/1 are the listener and waker; client and upstream tokens
-/// encode their map key (`id * 4 + tag`) so no token table is needed.
-fn client_token(id: u64) -> Token {
-    Token((id as usize) * 4 + 2)
-}
-
-fn upstream_token(id: u64) -> Token {
-    Token((id as usize) * 4 + 3)
-}
-
-impl Reactor {
-    fn run(&mut self) {
-        let mut events = Events::with_capacity(1024);
-        while !self.stop.load(Ordering::SeqCst) {
-            if self.poll.poll(&mut events, Some(POLL_TIMEOUT)).is_err() {
-                continue;
-            }
-            self.stats.loop_iterations.fetch_add(1, Ordering::Relaxed);
-            for event in &events {
-                let token = event.token();
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => {
-                        self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                        self.waker.drain();
-                    }
-                    Token(raw) => {
-                        let id = (raw / 4) as u64;
-                        if raw % 4 == 2 {
-                            self.on_client_event(id, event.is_readable(), event.is_writable());
-                        } else {
-                            self.on_upstream_event(
-                                id,
-                                event.is_readable(),
-                                event.is_writable(),
-                                event.is_error(),
-                            );
-                        }
-                    }
-                }
-            }
-            self.drain_completions();
-            if self.last_sweep.elapsed() >= SWEEP_INTERVAL {
-                self.sweep();
-                self.last_sweep = Instant::now();
-            }
-            self.refresh_pool_gauges();
-        }
-    }
-
-    // ---- accept path ----------------------------------------------
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => self.accept_one(stream, Some(peer)),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn accept_one(&mut self, stream: TcpStream, peer: Option<SocketAddr>) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        // No-Nagle on the client edge: responses are single writes and
-        // must not wait out a delayed-ACK window.
-        let _ = stream.set_nodelay(true);
-        let id = self.next_conn;
-        self.next_conn += 1;
-        let token = client_token(id);
-        let over_capacity = self.conns.len() >= MAX_CONNS;
-        let mut conn = ClientConn {
-            stream,
-            token,
-            peer,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            pipeline: VecDeque::new(),
-            next_seq: 0,
-            interest: 0,
-            close_after_flush: false,
-            peer_closed: false,
-            last_activity: Instant::now(),
-        };
-        if over_capacity {
-            // Same contract as the threaded server's refusal: an
-            // immediate 503 with a minted trace id, then close.
-            let trace = mint_trace_id();
-            let resp = Response::new(503, r#"{"error":"server at connection capacity"}"#)
-                .with_header(TRACE_HEADER, trace.clone());
-            conn.wbuf = encode_response(&resp, true);
-            conn.close_after_flush = true;
-            conn.peer_closed = true; // never read from it
-            if let Some(observe) = &self.edge {
-                observe(503, &trace);
-            }
-        }
-        self.conns.insert(id, conn);
-        self.update_client_interest(id);
-    }
-
-    // ---- client connection state machine --------------------------
-
-    fn on_client_event(&mut self, id: u64, readable: bool, writable: bool) {
-        if readable {
-            self.read_client(id);
-        }
-        if writable {
-            self.write_client(id);
-        }
-        self.update_client_interest(id);
-    }
-
-    fn read_client(&mut self, id: u64) {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if conn.pipeline.len() >= CLIENT_PIPELINE_CAP {
-                break;
-            }
-            match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&buf[..n]);
-                    conn.last_activity = Instant::now();
-                    // A short read means the socket is (almost surely)
-                    // drained; level-triggered epoll re-arms if not, so
-                    // skip the confirming WouldBlock read.
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_client(id);
-                    return;
-                }
-            }
-        }
-        self.parse_client_requests(id);
-        if let Some(conn) = self.conns.get(&id) {
-            // Peer EOF with nothing owed: drop our side too.
-            if conn.peer_closed
-                && conn.pipeline.is_empty()
-                && conn.wpos >= conn.wbuf.len()
-                && conn.rbuf.is_empty()
-            {
-                self.close_client(id);
-            }
-        }
-    }
-
-    fn parse_client_requests(&mut self, id: u64) {
-        loop {
-            let parsed = {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                if conn.close_after_flush || conn.pipeline.len() >= CLIENT_PIPELINE_CAP {
-                    return;
-                }
-                match try_parse_request(&conn.rbuf) {
-                    Ok(None) => return,
-                    Ok(Some((mut req, consumed))) => {
-                        conn.rbuf.drain(..consumed);
-                        req.peer = conn.peer;
-                        req
-                    }
-                    Err(message) => {
-                        // Malformed request: answer 400 once, then close
-                        // (mirrors the threaded server's edge handling).
-                        let trace = mint_trace_id();
-                        let resp = Response::new(400, format!("{{\"error\":\"{message}\"}}"))
-                            .with_header(TRACE_HEADER, trace.clone());
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        conn.pipeline.push_back(Slot {
-                            seq,
-                            bytes: Some(encode_response(&resp, true)),
-                            close: true,
-                        });
-                        conn.rbuf.clear();
-                        if let Some(observe) = &self.edge {
-                            observe(400, &trace);
-                        }
-                        self.flush_client(id);
-                        return;
-                    }
-                }
-            };
-            self.dispatch(id, parsed);
-        }
-    }
-
-    fn dispatch(&mut self, id: u64, req: Request) {
-        let close = req
-            .header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-        let seq = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            conn.pipeline.push_back(Slot {
-                seq,
-                bytes: None,
-                close,
-            });
-            seq
-        };
-        if let Some(table) = hot_table(&req) {
-            self.stats.hot_requests.fetch_add(1, Ordering::Relaxed);
-            self.start_hot(id, seq, close, table, req);
-        } else {
+impl Hook for Relays {
+    fn claim(&mut self, plane: &mut Plane, slot: SlotId, req: Request) -> Option<Request> {
+        let Some((method, table)) = relay_target(&req) else {
             self.stats
                 .offloaded_requests
                 .fetch_add(1, Ordering::Relaxed);
-            // Worker encodes the response (including Connection framing)
-            // and posts a completion through the waker.
-            let _ = self.jobs.send(Job {
-                conn: id,
-                seq,
-                req,
-                close,
-            });
-        }
+            return Some(req);
+        };
+        self.stats.hot_requests.fetch_add(1, Ordering::Relaxed);
+        self.start(plane, slot, method, table, req);
+        None
     }
 
-    // ---- hot path: zero-copy characterize relay -------------------
+    fn event(&mut self, plane: &mut Plane, id: u64, readable: bool, writable: bool, error: bool) {
+        {
+            let Some(up) = self.upstreams.get_mut(&id) else {
+                return;
+            };
+            if !up.connected && (writable || error) {
+                // Nonblocking connect resolved: take_error distinguishes
+                // established from refused.
+                match up.stream.take_error() {
+                    Ok(None) if !error => up.connected = true,
+                    _ => {
+                        self.fail_upstream(plane, id);
+                        return;
+                    }
+                }
+            } else if error {
+                self.fail_upstream(plane, id);
+                return;
+            }
+        }
+        if writable {
+            self.flush_upstream(plane, id);
+        }
+        if readable {
+            self.read_upstream(plane, id);
+        }
+        self.update_upstream_interest(plane, id);
+    }
 
-    fn start_hot(&mut self, conn: u64, seq: u64, close: bool, table: String, req: Request) {
+    fn tick(&mut self, _plane: &mut Plane, woken: bool) {
+        self.stats.loop_iterations.fetch_add(1, Ordering::Relaxed);
+        if woken {
+            self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut gauges: HashMap<String, PoolGauge> = HashMap::new();
+        for up in self.upstreams.values() {
+            let g = gauges.entry(up.backend_id.clone()).or_default();
+            if up.inflight.is_empty() {
+                g.idle += 1;
+            } else {
+                g.in_flight += 1;
+            }
+        }
+        self.stats.set_pool_gauges(gauges);
+    }
+
+    fn sweep(&mut self, plane: &mut Plane, now: Instant) {
+        let stalled: Vec<u64> = self
+            .upstreams
+            .iter()
+            .filter(|(_, u)| {
+                let idle_for = now.saturating_duration_since(u.last_activity);
+                if u.inflight.is_empty() {
+                    idle_for >= UPSTREAM_IDLE_TIMEOUT
+                } else {
+                    idle_for >= UPSTREAM_STALL_TIMEOUT
+                }
+            })
+            .map(|(&id, _)| id)
+            .collect();
+        for id in stalled {
+            self.fail_upstream(plane, id);
+        }
+    }
+}
+
+impl Relays {
+    fn start(
+        &mut self,
+        plane: &mut Plane,
+        slot: SlotId,
+        method: &'static str,
+        table: String,
+        req: Request,
+    ) {
         let started = Instant::now();
-        let start_unix_us = now_unix_us();
-        let span_ctx: Option<(String, String)> = req
-            .header(SPAN_CONTEXT_HEADER)
-            .and_then(span::parse_span_context)
-            .map(|(t, p)| (t.to_string(), p.to_string()));
-        let trace: String = match &span_ctx {
-            Some((t, _)) => t.clone(),
-            None => req
-                .header(TRACE_HEADER)
-                .and_then(sanitize_trace_id)
-                .map(str::to_string)
-                .unwrap_or_else(mint_trace_id),
-        };
-        let remote_parent = span_ctx.map(|(_, p)| p);
+        let (trace, remote_parent) = ziggy_serve::trace_context(&req);
         self.state.recorder.open_trace(&trace);
-        let root_span_id = mint_trace_id();
         let ctx = HotCtx {
-            conn,
-            seq,
-            close,
-            path: req.path.clone(),
+            slot,
+            method,
+            path: format!(
+                "/tables/{table}/{}",
+                if method == "GET" {
+                    "csv"
+                } else {
+                    "characterize"
+                }
+            ),
             trace,
             remote_parent,
-            root_span_id,
+            root_span_id: mint_trace_id(),
             started,
-            start_unix_us,
+            start_unix_us: now_unix_us(),
         };
-        if let Some(resp) = crate::throttle(&self.state, self.limiter.as_deref(), &req) {
-            // Throttled: mirrors the threaded path, which records the
-            // root span and log line but never reaches the routing
-            // counters (`requests_total`/`errors_total` untouched).
-            let extra: Vec<(String, String)> = resp.headers.clone();
-            self.finish_hot(
+        if let Some(resp) = throttle(
+            self.limiter.as_deref(),
+            &req,
+            &self.state.metrics.rate_limited,
+        ) {
+            self.finish(
+                plane,
                 ctx,
                 resp.status,
-                resp.body.as_bytes().to_vec(),
-                extra,
+                resp.body.as_bytes(),
+                resp.headers,
                 None,
                 None,
             );
@@ -789,34 +450,21 @@ impl Reactor {
         let candidates = self.state.read_order(&view, &table);
         if candidates.is_empty() {
             self.state.metrics.errors_total.inc();
-            self.finish_hot(
-                ctx,
-                503,
-                br#"{"error":"fleet has no backends"}"#.to_vec(),
-                Vec::new(),
-                Some(epoch),
-                None,
-            );
+            let body = br#"{"error":"fleet has no backends"}"#;
+            self.finish(plane, ctx, 503, body, Vec::new(), Some(epoch), None);
             return;
         }
         let relay_id = self.next_relay;
         self.next_relay += 1;
         let if_none_match = req.header("if-none-match").map(str::to_string);
+        let leg_start_unix_us = ctx.start_unix_us;
         self.relays.insert(
             relay_id,
             Relay {
-                conn: ctx.conn,
-                seq: ctx.seq,
-                close: ctx.close,
+                ctx,
                 table,
-                path: ctx.path.clone(),
                 body: req.body,
                 if_none_match,
-                trace: ctx.trace,
-                remote_parent: ctx.remote_parent,
-                root_span_id: ctx.root_span_id,
-                started: ctx.started,
-                start_unix_us: ctx.start_unix_us,
                 epoch,
                 candidates,
                 next_candidate: 0,
@@ -826,22 +474,22 @@ impl Reactor {
                 backend: None,
                 leg_span_id: String::new(),
                 leg_started: started,
-                leg_start_unix_us: start_unix_us,
+                leg_start_unix_us,
             },
         );
-        self.start_attempt(relay_id, true);
+        self.start_attempt(plane, relay_id, true);
     }
 
     /// Starts (or, with `fresh_leg == false`, transparently re-sends)
     /// the current candidate attempt for a relay.
-    fn start_attempt(&mut self, relay_id: u64, fresh_leg: bool) {
+    fn start_attempt(&mut self, plane: &mut Plane, relay_id: u64, fresh_leg: bool) {
         let (bytes, backend) = {
             let Some(relay) = self.relays.get_mut(&relay_id) else {
                 return;
             };
             if fresh_leg {
                 if relay.next_candidate >= relay.candidates.len() {
-                    self.finish_relay_exhausted(relay_id);
+                    self.finish_exhausted(plane, relay_id);
                     return;
                 }
                 let backend = Arc::clone(&relay.candidates[relay.next_candidate]);
@@ -857,10 +505,11 @@ impl Reactor {
                 relay.leg_start_unix_us = now_unix_us();
             }
             let backend = Arc::clone(relay.backend.as_ref().expect("attempt has a backend"));
-            let span_ctx = span::encode_span_context(&relay.trace, &relay.leg_span_id);
+            let span_ctx = span::encode_span_context(&relay.ctx.trace, &relay.leg_span_id);
             let mut head = format!(
-                "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
-                relay.path,
+                "{} {} HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
+                relay.ctx.method,
+                relay.ctx.path,
                 backend.addr(),
                 relay.body.len()
             );
@@ -877,73 +526,62 @@ impl Reactor {
             bytes.extend_from_slice(&relay.body);
             (bytes, backend)
         };
-        match self.acquire_upstream(&backend) {
+        match self.acquire_upstream(plane, &backend) {
             Some(up_id) => {
                 if let Some(up) = self.upstreams.get_mut(&up_id) {
                     up.wbuf.extend_from_slice(&bytes);
                     up.inflight.push_back(relay_id);
                 }
-                self.flush_upstream(up_id);
+                self.flush_upstream(plane, up_id);
             }
-            None => self.abandon_candidate(relay_id),
+            None => self.abandon_candidate(plane, relay_id),
         }
     }
 
     /// The current candidate failed for real (connect error, transport
     /// error with no retry budget, or the retry itself failed): record
     /// the failed leg, mark the backend, and move to the next replica.
-    fn abandon_candidate(&mut self, relay_id: u64) {
+    fn abandon_candidate(&mut self, plane: &mut Plane, relay_id: u64) {
         let Some(relay) = self.relays.get_mut(&relay_id) else {
             return;
         };
         if let Some(backend) = relay.backend.take() {
             backend.record_failure();
-            let leg = Span {
-                trace_id: relay.trace.clone(),
-                span_id: relay.leg_span_id.clone(),
-                parent_id: Some(relay.root_span_id.clone()),
-                name: "fleet.upstream".into(),
-                start_unix_us: relay.leg_start_unix_us,
-                duration_us: relay.leg_started.elapsed().as_micros() as u64,
-                attrs: vec![
-                    ("backend".into(), backend.id().to_string()),
-                    ("path".into(), relay.path.clone()),
-                ],
-                error: true,
-            };
-            self.state.recorder.record_finished(leg);
+            self.state
+                .recorder
+                .record_finished(relay.leg_span(&backend, true));
         }
         relay.next_candidate += 1;
-        self.start_attempt(relay_id, true);
+        self.start_attempt(plane, relay_id, true);
     }
 
-    /// Every candidate tried: answer with the best buffered non-404
-    /// error (or the 404), else the no-live-replica 503 — exactly the
-    /// threaded `proxy_read_with_failover` contract.
-    fn finish_relay_exhausted(&mut self, relay_id: u64) {
+    /// Every candidate tried: answer with the best remembered non-404
+    /// error (or the 404), else the no-live-replica 503.
+    fn finish_exhausted(&mut self, plane: &mut Plane, relay_id: u64) {
         let Some(relay) = self.relays.remove(&relay_id) else {
             return;
         };
-        let ctx = relay.ctx();
-        let (status, body) = match relay.fallback {
-            Some((status, body)) => (status, body),
-            None => (
-                503,
-                format!(
-                    "{{\"error\":\"no live replica for table `{}`\"}}",
-                    relay.table
-                )
-                .into_bytes(),
-            ),
-        };
+        let (status, body) = relay.fallback.unwrap_or_else(|| {
+            let message = format!("no live replica for table `{}`", relay.table);
+            let body = Value::Object(vec![("error".into(), Value::String(message))]);
+            let body = serde_json::to_string(&body).expect("error bodies always render");
+            (503, body.into_bytes())
+        });
         if status >= 400 {
             self.state.metrics.errors_total.inc();
         }
-        self.finish_hot(ctx, status, body, Vec::new(), Some(relay.epoch), None);
+        let epoch = Some(relay.epoch);
+        self.finish(plane, relay.ctx, status, &body, Vec::new(), epoch, None);
     }
 
-    /// A complete response arrived for the front relay on `up_id`.
-    fn upstream_response(&mut self, relay_id: u64, head: ResponseHead, body: Vec<u8>) {
+    /// A complete response arrived for relay `relay_id`.
+    fn upstream_response(
+        &mut self,
+        plane: &mut Plane,
+        relay_id: u64,
+        head: ResponseHead,
+        body: &[u8],
+    ) {
         let backend = {
             let Some(relay) = self.relays.get_mut(&relay_id) else {
                 return;
@@ -953,97 +591,84 @@ impl Reactor {
             };
             backend.record_upstream(relay.leg_started.elapsed());
             backend.record_success();
-            let leg = Span {
-                trace_id: relay.trace.clone(),
-                span_id: relay.leg_span_id.clone(),
-                parent_id: Some(relay.root_span_id.clone()),
-                name: "fleet.upstream".into(),
-                start_unix_us: relay.leg_start_unix_us,
-                duration_us: relay.leg_started.elapsed().as_micros() as u64,
-                attrs: vec![
-                    ("backend".into(), backend.id().to_string()),
-                    ("path".into(), relay.path.clone()),
-                ],
-                error: false,
-            };
-            self.state.recorder.record_finished(leg);
+            self.state
+                .recorder
+                .record_finished(relay.leg_span(&backend, false));
             backend
         };
         let status = head.status;
         if status == 404 || status >= 500 {
-            // Buffer as fallback (a non-404 error wins over a 404) and
-            // try the next replica.
+            // Remember it (a non-404 error wins over a 404) and try the
+            // next replica.
             let Some(relay) = self.relays.get_mut(&relay_id) else {
                 return;
             };
             if relay.fallback.is_none() || status != 404 {
-                relay.fallback = Some((status, body));
+                relay.fallback = Some((status, body.to_vec()));
             }
             relay.next_candidate += 1;
-            self.start_attempt(relay_id, true);
+            self.start_attempt(plane, relay_id, true);
             return;
         }
         let Some(relay) = self.relays.remove(&relay_id) else {
             return;
         };
-        let ctx = relay.ctx();
         if status >= 400 {
             self.state.metrics.errors_total.inc();
         }
         // Relay the validator and timing headers verbatim; everything
         // else is re-framed by the router.
-        let mut extra: Vec<(String, String)> = Vec::new();
-        for name in ["etag", "server-timing"] {
-            if let Some(v) = head.header(name) {
-                let canonical = if name == "etag" {
-                    "ETag"
-                } else {
-                    "Server-Timing"
-                };
-                extra.push((canonical.into(), v.to_string()));
-            }
-        }
-        self.finish_hot(
-            ctx,
+        let extra: Vec<(String, String)> = [("etag", "ETag"), ("server-timing", "Server-Timing")]
+            .into_iter()
+            .filter_map(|(name, canonical)| {
+                head.header(name)
+                    .map(|v| (canonical.to_string(), v.to_string()))
+            })
+            .collect();
+        let epoch = Some(relay.epoch);
+        self.finish(
+            plane,
+            relay.ctx,
             status,
             body,
             extra,
-            Some(relay.epoch),
-            Some(backend.id().to_string()),
+            epoch,
+            Some(backend.id()),
         );
     }
 
-    /// Completes a hot request: commits the root span, records edge
+    /// Completes a relayed request: commits the root span, records edge
     /// latency (with exemplar), writes the slow-query and access-log
-    /// lines, frames the response, and queues it on the client conn.
-    fn finish_hot(
+    /// lines, frames the response, and delivers it to the client slot.
+    #[allow(clippy::too_many_arguments)]
+    fn finish(
         &mut self,
+        plane: &mut Plane,
         ctx: HotCtx,
         status: u16,
-        body: Vec<u8>,
+        body: &[u8],
         mut extra: Vec<(String, String)>,
         epoch: Option<u64>,
-        backend: Option<String>,
+        backend: Option<&str>,
     ) {
-        let key = fleet_route_key("POST", &ctx.path);
-        let root = Span {
+        let key = fleet_route_key(ctx.method, &ctx.path);
+        let elapsed = ctx.started.elapsed();
+        let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
+        self.state.recorder.commit_root(Span {
             trace_id: ctx.trace.clone(),
-            span_id: ctx.root_span_id.clone(),
-            parent_id: ctx.remote_parent.clone(),
+            span_id: ctx.root_span_id,
+            parent_id: ctx.remote_parent,
             name: "fleet.request".into(),
             start_unix_us: ctx.start_unix_us,
-            duration_us: ctx.started.elapsed().as_micros() as u64,
+            duration_us: elapsed_us,
             attrs: vec![
-                ("method".into(), "POST".into()),
+                ("method".into(), ctx.method.into()),
                 ("path".into(), ctx.path.clone()),
                 ("route".into(), key.into()),
                 ("status".into(), status.to_string()),
             ],
             error: status >= 400,
-        };
-        self.state.recorder.commit_root(root);
-        let elapsed = ctx.started.elapsed();
-        let elapsed_us = elapsed.as_micros().min(u64::MAX as u128) as u64;
+        });
         self.state
             .route_latency
             .record_us_traced(key, elapsed_us, &ctx.trace);
@@ -1053,20 +678,18 @@ impl Reactor {
             }
         }
         self.log.log(
-            "POST",
+            ctx.method,
             &ctx.path,
             status,
             elapsed.as_secs_f64() * 1e3,
             Some(&ctx.trace),
-            backend.as_deref(),
+            backend,
         );
         if let Some(epoch) = epoch {
             extra.push(("X-Fleet-Epoch".into(), epoch.to_string()));
         }
         extra.push((TRACE_HEADER.into(), ctx.trace));
-        let mut bytes = hot_response_head(status, body.len(), ctx.close, &extra).into_bytes();
-        bytes.extend_from_slice(&body);
-        self.deliver(ctx.conn, ctx.seq, bytes, ctx.close);
+        plane.deliver(ctx.slot, encode(status, &extra, body, ctx.slot.close()));
     }
 
     // ---- upstream pool --------------------------------------------
@@ -1074,7 +697,7 @@ impl Reactor {
     /// Picks the least-loaded existing connection to `backend` with
     /// depth headroom, else opens a new one (up to the per-backend
     /// cap), else overloads the least-loaded connection.
-    fn acquire_upstream(&mut self, backend: &Arc<Backend>) -> Option<u64> {
+    fn acquire_upstream(&mut self, plane: &Plane, backend: &Arc<Backend>) -> Option<u64> {
         let addr = backend.addr();
         let pool = self.pools.entry(addr).or_default();
         pool.retain(|id| self.upstreams.contains_key(id));
@@ -1099,20 +722,21 @@ impl Reactor {
                 let _ = stream.set_nodelay(true);
                 let id = self.next_upstream;
                 self.next_upstream += 1;
-                let token = upstream_token(id);
-                let registered = self.poll.registry().register(
+                let mut interest = 0;
+                apply_interest(
+                    &plane.registry(),
                     &stream,
-                    token,
-                    Interest::READABLE.add(Interest::WRITABLE),
+                    Plane::hook_token(id),
+                    &mut interest,
+                    0b11,
                 );
-                if registered.is_err() {
+                if interest == 0 {
                     return best.map(|(uid, _)| uid);
                 }
                 self.upstreams.insert(
                     id,
                     UpstreamConn {
                         stream,
-                        token,
                         backend_id: backend.id().to_string(),
                         addr,
                         connected: false,
@@ -1121,7 +745,7 @@ impl Reactor {
                         wpos: 0,
                         rbuf: Vec::new(),
                         inflight: VecDeque::new(),
-                        interest: 0b11,
+                        interest,
                         last_activity: Instant::now(),
                     },
                 );
@@ -1138,36 +762,7 @@ impl Reactor {
         }
     }
 
-    fn on_upstream_event(&mut self, id: u64, readable: bool, writable: bool, error: bool) {
-        {
-            let Some(up) = self.upstreams.get_mut(&id) else {
-                return;
-            };
-            if !up.connected && (writable || error) {
-                // Nonblocking connect resolved: take_error distinguishes
-                // established from refused.
-                match up.stream.take_error() {
-                    Ok(None) if !error => up.connected = true,
-                    _ => {
-                        self.fail_upstream(id);
-                        return;
-                    }
-                }
-            } else if error {
-                self.fail_upstream(id);
-                return;
-            }
-        }
-        if writable {
-            self.flush_upstream(id);
-        }
-        if readable {
-            self.read_upstream(id);
-        }
-        self.update_upstream_interest(id);
-    }
-
-    fn flush_upstream(&mut self, id: u64) {
+    fn flush_upstream(&mut self, plane: &mut Plane, id: u64) {
         loop {
             let Some(up) = self.upstreams.get_mut(&id) else {
                 return;
@@ -1177,7 +772,7 @@ impl Reactor {
             }
             match up.stream.write(&up.wbuf[up.wpos..]) {
                 Ok(0) => {
-                    self.fail_upstream(id);
+                    self.fail_upstream(plane, id);
                     return;
                 }
                 Ok(n) => {
@@ -1187,7 +782,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.fail_upstream(id);
+                    self.fail_upstream(plane, id);
                     return;
                 }
             }
@@ -1198,10 +793,10 @@ impl Reactor {
                 up.wpos = 0;
             }
         }
-        self.update_upstream_interest(id);
+        self.update_upstream_interest(plane, id);
     }
 
-    fn read_upstream(&mut self, id: u64) {
+    fn read_upstream(&mut self, plane: &mut Plane, id: u64) {
         let mut buf = [0u8; 16 * 1024];
         let mut closed = false;
         loop {
@@ -1225,7 +820,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.fail_upstream(id);
+                    self.fail_upstream(plane, id);
                     return;
                 }
             }
@@ -1233,51 +828,42 @@ impl Reactor {
         // Parse as many complete responses as arrived; HTTP/1.1 answers
         // in order, so each one pops the front in-flight relay.
         loop {
-            let (head, body, backend_close) = {
-                let Some(up) = self.upstreams.get_mut(&id) else {
-                    return;
-                };
-                match try_parse_response_head(&up.rbuf) {
-                    Ok(None) => break,
-                    Err(_) => {
-                        self.fail_upstream(id);
-                        return;
-                    }
-                    Ok(Some(head)) => {
-                        let total = head.head_len + head.content_length;
-                        if up.rbuf.len() < total {
-                            break;
-                        }
-                        let body = up.rbuf[head.head_len..total].to_vec();
-                        up.rbuf.drain(..total);
-                        up.used = true;
-                        let close = head.close;
-                        (head, body, close)
-                    }
-                }
-            };
-            let relay_id = {
-                let Some(up) = self.upstreams.get_mut(&id) else {
-                    return;
-                };
-                match up.inflight.pop_front() {
-                    Some(r) => r,
-                    None => {
-                        // Response with no request outstanding: protocol
-                        // violation, drop the connection.
-                        self.fail_upstream(id);
-                        return;
-                    }
-                }
-            };
-            self.upstream_response(relay_id, head, body);
-            if backend_close {
-                self.fail_upstream(id);
+            let Some(up) = self.upstreams.get_mut(&id) else {
                 return;
+            };
+            let head = match try_parse_response_head(&up.rbuf) {
+                Ok(None) => break,
+                Ok(Some(head)) if up.rbuf.len() >= head.head_len + head.content_length => head,
+                Ok(Some(_)) => break,
+                Err(_) => {
+                    self.fail_upstream(plane, id);
+                    return;
+                }
+            };
+            // A response with no request outstanding is a protocol
+            // violation: drop the connection.
+            let Some(relay_id) = up.inflight.pop_front() else {
+                self.fail_upstream(plane, id);
+                return;
+            };
+            up.used = true;
+            let total = head.head_len + head.content_length;
+            let rbuf = std::mem::take(&mut up.rbuf);
+            let backend_close = head.close;
+            let body_range = head.head_len..total;
+            self.upstream_response(plane, relay_id, head, &rbuf[body_range]);
+            if backend_close {
+                self.fail_upstream(plane, id);
+                return;
+            }
+            if let Some(up) = self.upstreams.get_mut(&id) {
+                // Nothing reads this socket meanwhile: put the buffer back.
+                up.rbuf = rbuf;
+                up.rbuf.drain(..total);
             }
         }
         if closed {
-            self.fail_upstream(id);
+            self.fail_upstream(plane, id);
         }
     }
 
@@ -1285,14 +871,14 @@ impl Reactor {
     /// retry once on a fresh connection (the stale-keep-alive case:
     /// the connection had served a response before) or abandon their
     /// candidate and fail over.
-    fn fail_upstream(&mut self, id: u64) {
+    fn fail_upstream(&mut self, plane: &mut Plane, id: u64) {
         let Some(up) = self.upstreams.remove(&id) else {
             return;
         };
         if let Some(pool) = self.pools.get_mut(&up.addr) {
             pool.retain(|&uid| uid != id);
         }
-        let _ = self.poll.registry().deregister(&up.stream);
+        let _ = plane.registry().deregister(&up.stream);
         for relay_id in up.inflight {
             let retry = up.used
                 && self
@@ -1306,14 +892,14 @@ impl Reactor {
                 self.stats
                     .pool_retried_reconnects
                     .fetch_add(1, Ordering::Relaxed);
-                self.start_attempt(relay_id, false);
+                self.start_attempt(plane, relay_id, false);
             } else {
-                self.abandon_candidate(relay_id);
+                self.abandon_candidate(plane, relay_id);
             }
         }
     }
 
-    fn update_upstream_interest(&mut self, id: u64) {
+    fn update_upstream_interest(&mut self, plane: &Plane, id: u64) {
         let Some(up) = self.upstreams.get_mut(&id) else {
             return;
         };
@@ -1324,283 +910,11 @@ impl Reactor {
             desired |= 0b10;
         }
         apply_interest(
-            &self.poll.registry(),
+            &plane.registry(),
             &up.stream,
-            up.token,
+            Plane::hook_token(id),
             &mut up.interest,
             desired,
         );
     }
-
-    // ---- response delivery ----------------------------------------
-
-    /// Fills a pipeline slot and flushes whatever is now in order.
-    fn deliver(&mut self, conn_id: u64, seq: u64, bytes: Vec<u8>, close: bool) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return; // client went away; response evaporates
-        };
-        if let Some(slot) = conn.slot_mut(seq) {
-            slot.bytes = Some(bytes);
-            slot.close = close;
-        }
-        self.flush_client(conn_id);
-        self.update_client_interest(conn_id);
-    }
-
-    fn flush_client(&mut self, id: u64) {
-        // Drain ready slots straight through the socket; only bytes the
-        // kernel refuses synchronously are copied into wbuf. In the
-        // common case (small response, empty socket buffer) a response
-        // makes exactly one copy: upstream buffer → framed bytes →
-        // kernel.
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if conn.wpos < conn.wbuf.len() {
-                break; // earlier partial write still owed: keep order
-            }
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            match conn.pipeline.front() {
-                Some(front) if front.bytes.is_some() => {}
-                _ => break,
-            }
-            let slot = conn.pipeline.pop_front().expect("front exists");
-            let bytes = slot.bytes.unwrap_or_default();
-            let mut written = 0usize;
-            let mut dead = false;
-            while written < bytes.len() {
-                match conn.stream.write(&bytes[written..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => written += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                self.close_client(id);
-                return;
-            }
-            conn.last_activity = Instant::now();
-            if written < bytes.len() {
-                conn.wbuf.extend_from_slice(&bytes[written..]);
-            }
-            if slot.close {
-                conn.close_after_flush = true;
-                conn.pipeline.clear();
-                break;
-            }
-        }
-        self.write_client(id);
-    }
-
-    fn write_client(&mut self, id: u64) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if conn.wpos >= conn.wbuf.len() {
-                break;
-            }
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => {
-                    self.close_client(id);
-                    return;
-                }
-                Ok(n) => {
-                    conn.wpos += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_client(id);
-                    return;
-                }
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        if conn.wpos >= conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            if conn.close_after_flush {
-                self.close_client(id);
-            }
-        }
-    }
-
-    fn update_client_interest(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return;
-        };
-        let mut desired = 0u8;
-        if !conn.peer_closed && conn.pipeline.len() < CLIENT_PIPELINE_CAP {
-            desired |= 0b01;
-        }
-        if conn.wpos < conn.wbuf.len() {
-            desired |= 0b10;
-        }
-        apply_interest(
-            &self.poll.registry(),
-            &conn.stream,
-            conn.token,
-            &mut conn.interest,
-            desired,
-        );
-    }
-
-    fn close_client(&mut self, id: u64) {
-        if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poll.registry().deregister(&conn.stream);
-        }
-    }
-
-    // ---- offload completions, sweeps, gauges ----------------------
-
-    fn drain_completions(&mut self) {
-        let batch: Vec<Completion> = std::mem::take(&mut *self.completions.lock());
-        for c in batch {
-            self.deliver(c.conn, c.seq, c.bytes, c.close);
-        }
-    }
-
-    fn sweep(&mut self) {
-        let now = Instant::now();
-        let idle_clients: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.pipeline.is_empty()
-                    && c.wpos >= c.wbuf.len()
-                    && now.duration_since(c.last_activity) >= CLIENT_IDLE_TIMEOUT
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in idle_clients {
-            self.close_client(id);
-        }
-        let stalled: Vec<u64> = self
-            .upstreams
-            .iter()
-            .filter(|(_, u)| {
-                let idle_for = now.duration_since(u.last_activity);
-                if u.inflight.is_empty() {
-                    idle_for >= UPSTREAM_IDLE_TIMEOUT
-                } else {
-                    idle_for >= UPSTREAM_STALL_TIMEOUT
-                }
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in stalled {
-            self.fail_upstream(id);
-        }
-    }
-
-    fn refresh_pool_gauges(&mut self) {
-        let mut gauges: HashMap<String, PoolGauge> = HashMap::new();
-        for up in self.upstreams.values() {
-            let g = gauges.entry(up.backend_id.clone()).or_default();
-            if up.inflight.is_empty() {
-                g.idle += 1;
-            } else {
-                g.in_flight += 1;
-            }
-        }
-        self.stats.set_pool_gauges(gauges);
-    }
-}
-
-impl Drop for Reactor {
-    fn drop(&mut self) {
-        for (_, c) in self.conns.drain() {
-            let _ = self.poll.registry().deregister(&c.stream);
-        }
-        for (_, u) in self.upstreams.drain() {
-            let _ = self.poll.registry().deregister(&u.stream);
-        }
-    }
-}
-
-/// The telemetry context a hot request carries from dispatch to
-/// completion (relay or local answer).
-struct HotCtx {
-    conn: u64,
-    seq: u64,
-    close: bool,
-    path: String,
-    trace: String,
-    remote_parent: Option<String>,
-    root_span_id: String,
-    started: Instant,
-    start_unix_us: u64,
-}
-
-impl Relay {
-    fn ctx(&self) -> HotCtx {
-        HotCtx {
-            conn: self.conn,
-            seq: self.seq,
-            close: self.close,
-            path: self.path.clone(),
-            trace: self.trace.clone(),
-            remote_parent: self.remote_parent.clone(),
-            root_span_id: self.root_span_id.clone(),
-            started: self.started,
-            start_unix_us: self.start_unix_us,
-        }
-    }
-}
-
-/// `Some(table)` when the request is the hot relay path:
-/// `POST /tables/{table}/characterize` with a UTF-8 body. (A non-UTF-8
-/// body offloads so the control plane can answer its 400 with the
-/// standard wording.)
-fn hot_table(req: &Request) -> Option<String> {
-    if req.method != "POST" {
-        return None;
-    }
-    let table = req
-        .path
-        .strip_prefix("/tables/")?
-        .strip_suffix("/characterize")?;
-    if table.is_empty() || table.contains('/') || std::str::from_utf8(&req.body).is_err() {
-        return None;
-    }
-    Some(table.to_string())
-}
-
-/// Frames a hot-path response head (same header set and order the
-/// threaded router produced, so clients and tests see identical bytes).
-fn hot_response_head(
-    status: u16,
-    content_length: usize,
-    close: bool,
-    extra: &[(String, String)],
-) -> String {
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\nContent-Type: application/json\r\n",
-        status,
-        reason(status),
-        content_length,
-        if close { "close" } else { "keep-alive" },
-    );
-    for (name, value) in extra {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    head
 }

@@ -26,8 +26,8 @@
 //!   `PUT /tables/{name}` replicate path to all R replicas.
 //! * **Reads** — characterize traffic rotates across the healthy
 //!   replicas; transport failures mark the backend and fail over to the
-//!   next replica transparently ([`router::proxy`-level retry, plus an
-//!   active `/healthz` prober]).
+//!   next replica transparently (the [`dataplane`] relay's failover
+//!   walk, plus an active `/healthz` prober).
 //! * **Scatter-gather** — `GET /tables` and `GET /metrics` query every
 //!   backend in parallel and merge per-shard sections into one
 //!   document.
@@ -75,19 +75,18 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ziggy_obs::span::{self, DEFAULT_TRACE_CAPACITY, SPAN_CONTEXT_HEADER};
-use ziggy_obs::trace::{mint_trace_id, sanitize_trace_id, TRACE_HEADER};
+use ziggy_obs::span::DEFAULT_TRACE_CAPACITY;
+use ziggy_obs::trace::TRACE_HEADER;
 use ziggy_obs::FlightRecorder;
 use ziggy_serve::http::{EdgeObserver, Request};
-use ziggy_serve::{AccessLog, RateLimiter, Response};
+use ziggy_serve::limit::throttle;
+use ziggy_serve::{AccessLog, RateLimiter};
 
 pub use backend::{Backend, BackendsProvider, Prober};
 pub use dataplane::{DataPlane, DataPlaneConfig, DataPlaneStats};
 pub use repair::{repair_round, RepairReport, Repairer};
 pub use ring::HashRing;
-pub use router::{
-    fleet_route_key, route_fleet, route_fleet_traced, FleetState, Membership, FLEET_ROUTE_KEYS,
-};
+pub use router::{fleet_route_key, route_fleet_traced, FleetState, Membership, FLEET_ROUTE_KEYS};
 pub use spawn::{restart_dead_children, restart_dead_children_with, BackendProcess};
 
 /// Options for [`start_fleet`].
@@ -227,40 +226,26 @@ pub fn start_fleet(
     let edge: EdgeObserver = Arc::new(move |status: u16, trace: &str| {
         edge_log.log("-", "-", status, 0.0, Some(trace), None);
     });
-    // The control-plane handler: every route except the hot
-    // characterize relay runs here, on the data plane's worker pool.
-    // It is byte-for-byte the closure the threaded server ran, so
-    // admin/session/scatter-gather behavior (and its tracing, logging,
-    // and throttling) is unchanged by the reactor migration.
+    // The control-plane handler: every route the relay does not claim
+    // (admin, sessions, scatter-gather, metrics, …) runs here, on the
+    // data plane's worker pool.
     let handler_limiter = limiter.clone();
     let handler = Arc::new(move |req: &Request| {
         let started = Instant::now();
-        // An upstream X-Span-Context wins (it names the trace AND
-        // the remote parent span — routers can themselves be proxied
-        // to); a well-formed caller-supplied X-Request-Id still
-        // names the trace (so a client can stitch its own traces);
-        // mint one otherwise. The id rides every proxied leg and
-        // comes back on the response, the router log line, and each
-        // backend log line.
-        let span_ctx: Option<(String, String)> = req
-            .header(SPAN_CONTEXT_HEADER)
-            .and_then(span::parse_span_context)
-            .map(|(t, p)| (t.to_string(), p.to_string()));
-        let trace: String = match &span_ctx {
-            Some((t, _)) => t.clone(),
-            None => req
-                .header(TRACE_HEADER)
-                .and_then(sanitize_trace_id)
-                .map(str::to_string)
-                .unwrap_or_else(mint_trace_id),
-        };
-        let parent = span_ctx.as_ref().map(|(_, p)| p.as_str());
-        let mut root = handler_state.recorder.root(&trace, parent, "fleet.request");
+        let (trace, parent) = ziggy_serve::trace_context(req);
+        let mut root = handler_state
+            .recorder
+            .root(&trace, parent.as_deref(), "fleet.request");
         root.attr("method", req.method.clone());
         root.attr("path", req.path.clone());
         let key = fleet_route_key(&req.method, &req.path);
         root.attr("route", key);
-        let (response, backend) = match throttle(&handler_state, handler_limiter.as_deref(), req) {
+        let throttled = throttle(
+            handler_limiter.as_deref(),
+            req,
+            &handler_state.metrics.rate_limited,
+        );
+        let (response, backend) = match throttled {
             Some(resp) => (resp, None),
             None => route_fleet_traced(&handler_state, req, Some(&trace)),
         };
@@ -304,31 +289,4 @@ pub fn start_fleet(
         prober: Some(prober),
         repairer,
     })
-}
-
-/// The router-edge rate limit (same bucket semantics as the single-node
-/// server; health checks exempt). Shared by the control-plane handler
-/// and the reactor's hot path.
-pub(crate) fn throttle(
-    state: &FleetState,
-    limiter: Option<&RateLimiter>,
-    req: &Request,
-) -> Option<Response> {
-    let limiter = limiter?;
-    if req.path == "/healthz" {
-        return None;
-    }
-    let client = req
-        .peer
-        .map_or(ziggy_serve::limit::ANONYMOUS_CLIENT, |p| p.ip());
-    match limiter.try_acquire(client) {
-        Ok(()) => None,
-        Err(retry_after) => {
-            state.metrics.rate_limited.inc();
-            Some(
-                Response::new(429, r#"{"error":"rate limit exceeded"}"#)
-                    .with_header("Retry-After", retry_after.to_string()),
-            )
-        }
-    }
 }

@@ -136,6 +136,7 @@ pub fn repair_round(state: &FleetState) -> RepairReport {
 fn repair_round_inner(state: &FleetState) -> RepairReport {
     let view = state.membership();
     let mut report = RepairReport::default();
+    let scan_started = state.ingest_clock.load(Ordering::SeqCst);
 
     // Membership changed since the last round: every streak-based
     // decision (stray GC) starts over against the new ring.
@@ -287,6 +288,14 @@ fn repair_round_inner(state: &FleetState) -> RepairReport {
             }
             continue;
         }
+        let ingest_overlapped = state
+            .ingests
+            .lock()
+            .get(table.as_str())
+            .is_some_and(|&tick| tick > scan_started);
+        if ingest_overlapped {
+            continue; // Mid-placement when scanned: the ingest finishes it.
+        }
         report.under_replicated += 1;
 
         // Export the source CSV from the freshest current holder first
@@ -330,6 +339,7 @@ fn repair_round_inner(state: &FleetState) -> RepairReport {
         }
     }
 
+    state.ingests.lock().retain(|_, tick| *tick > scan_started);
     // Advance (or reset) the clean streak the stray GC is gated on. GC
     // legs themselves don't dirty a round — collecting a stray is
     // steady-state housekeeping, not instability.

@@ -50,7 +50,7 @@ use ziggy_obs::span::{self, DEFAULT_TRACE_CAPACITY, SPAN_CONTEXT_HEADER};
 use ziggy_obs::trace::TRACE_HEADER;
 use ziggy_obs::{FlightRecorder, LoopStats, PromDoc, RouteHistograms};
 use ziggy_serve::http::{Request, Response};
-use ziggy_serve::json::{parse_object, required_str};
+use ziggy_serve::json::{body_text, parse_object, required_str};
 use ziggy_serve::metrics::Counter;
 use ziggy_serve::router::{trace_json, DEFAULT_SLOW_US};
 
@@ -279,6 +279,12 @@ pub struct FleetState {
     /// Membership epoch the last repair round ran under; a change
     /// resets the clean streak.
     pub(crate) repair_epoch: AtomicU64,
+    /// Ingest fan-outs, for repair: table → `u64::MAX` while a `POST
+    /// /tables` is placing it, then the `ingest_clock` tick at which it
+    /// finished. A repair scan that overlapped an ingest may have caught
+    /// the table half-placed; that round leaves it to the ingest.
+    pub(crate) ingests: Mutex<HashMap<String, u64>>,
+    pub(crate) ingest_clock: AtomicU64,
     /// Event-loop data-plane counters and pool gauges (populated when
     /// the router fronts with [`crate::dataplane::DataPlane`]).
     pub dataplane: Arc<crate::dataplane::DataPlaneStats>,
@@ -314,6 +320,8 @@ impl FleetState {
             probe_stats: Arc::new(LoopStats::new()),
             repair_clean_streak: AtomicU64::new(0),
             repair_epoch: AtomicU64::new(0),
+            ingests: Mutex::new(HashMap::new()),
+            ingest_clock: AtomicU64::new(0),
             dataplane: Arc::new(crate::dataplane::DataPlaneStats::default()),
             started: Instant::now(),
         }
@@ -431,8 +439,7 @@ impl FleetState {
     /// With every nominal replica healthy the order is exactly the
     /// nominal set, so a request for an *unknown* table still costs at
     /// most R hops (each answering 404), never a full-fleet sweep.
-    /// Shared with the event-loop data plane, whose hot path runs the
-    /// same failover walk.
+    /// The [`crate::dataplane`] relay and session creation walk it.
     pub(crate) fn read_order(&self, view: &Membership, table: &str) -> Vec<Arc<Backend>> {
         let walk = view.replicas_for(table, view.backends().len());
         if walk.is_empty() {
@@ -466,14 +473,6 @@ impl FleetState {
     }
 }
 
-/// Routes one request. Returns the response plus the id of the backend
-/// that served it, when exactly one did (for the access log).
-/// Compatibility wrapper over [`route_fleet_traced`] for callers
-/// without a trace id (in-process tests and benchmarks).
-pub fn route_fleet(state: &FleetState, req: &Request) -> (Response, Option<String>) {
-    route_fleet_traced(state, req, None)
-}
-
 /// Routes one request, propagating `trace` (the request's
 /// `X-Request-Id`) on every proxied leg so backend access logs carry
 /// the same id as the router's. Returns the response plus the id of the
@@ -494,10 +493,6 @@ pub fn route_fleet_traced(
         ("GET", ["metrics"]) => (handle_metrics(state, &view, req), None),
         ("GET", ["tables"]) => (handle_list_tables(state, &view), None),
         ("POST", ["tables"]) => (handle_create_table(state, &view, &req.body), None),
-        ("POST", ["tables", name, "characterize"]) => {
-            handle_characterize(state, &view, name, req, trace)
-        }
-        ("GET", ["tables", name, "csv"]) => handle_export_csv(state, &view, name, trace),
         ("DELETE", ["tables", name]) => (handle_delete_table(state, &view, name), None),
         ("POST", ["sessions"]) => handle_create_session(state, &view, &req.body, trace),
         ("POST", ["sessions", id, "step"]) => handle_session_step(state, id, &req.body, trace),
@@ -563,13 +558,11 @@ pub(crate) fn forward(
     path: &str,
     body: Option<&str>,
 ) -> std::io::Result<(u16, String)> {
-    let (status, _, body) = forward_with_headers(state, backend, method, path, &[], body)?;
-    Ok((status, body))
+    forward_traced(state, backend, method, path, None, body)
 }
 
-/// [`forward`] carrying extra request headers and returning the
-/// backend's response headers — the conditional-request leg of the
-/// characterize proxy path.
+/// [`forward`] carrying the request's trace id (the session legs), so
+/// the backend's access log names the same trace.
 ///
 /// Every leg opens a `fleet.upstream` child span (backend id and path
 /// as attributes) and forwards its identity as `X-Span-Context`, so the
@@ -577,14 +570,14 @@ pub(crate) fn forward(
 /// then assembles the router's view and the backend's breakdown into a
 /// single tree. Legs issued outside a request context (scatter threads,
 /// the repair loop's direct [`forward`] calls) simply carry no span.
-fn forward_with_headers(
+fn forward_traced(
     state: &FleetState,
     backend: &Backend,
     method: &str,
     path: &str,
-    extra_headers: &[(&str, &str)],
+    trace: Option<&str>,
     body: Option<&str>,
-) -> std::io::Result<ziggy_serve::http::FullResponse> {
+) -> std::io::Result<(u16, String)> {
     state.metrics.proxied_total.inc();
     let mut leg = span::child("fleet.upstream");
     let span_ctx = leg.as_mut().map(|g| {
@@ -592,7 +585,7 @@ fn forward_with_headers(
         g.attr("path", path);
         span::encode_span_context(g.trace_id(), g.span_id())
     });
-    let mut headers: Vec<(&str, &str)> = extra_headers.to_vec();
+    let mut headers: Vec<(&str, &str)> = trace.map(|t| (TRACE_HEADER, t)).into_iter().collect();
     if let Some(ctx) = span_ctx.as_deref() {
         headers.push((SPAN_CONTEXT_HEADER, ctx));
     }
@@ -604,10 +597,10 @@ fn forward_with_headers(
         body,
         retry_safe(method, path),
     ) {
-        Ok(response) => {
+        Ok((status, _, body)) => {
             backend.record_upstream(started.elapsed());
             backend.record_success();
-            Ok(response)
+            Ok((status, body))
         }
         Err(e) => {
             backend.record_failure();
@@ -617,15 +610,6 @@ fn forward_with_headers(
             Err(e)
         }
     }
-}
-
-/// The extra request headers carrying the trace id, when one exists.
-fn trace_headers(trace: Option<&str>) -> Vec<(&'static str, &str)> {
-    trace.map(|t| vec![(TRACE_HEADER, t)]).unwrap_or_default()
-}
-
-fn utf8_body(body: &[u8]) -> Result<&str, Response> {
-    std::str::from_utf8(body).map_err(|_| error_response(400, "request body is not UTF-8"))
 }
 
 fn backend_summary(b: &Backend) -> Value {
@@ -1313,6 +1297,21 @@ fn handle_list_tables(state: &FleetState, view: &Membership) -> Response {
     )
 }
 
+/// Marks a table's ingest fan-out finished when dropped (see
+/// [`FleetState::ingests`]).
+struct IngestMark<'a> {
+    state: &'a FleetState,
+    table: String,
+}
+
+impl Drop for IngestMark<'_> {
+    fn drop(&mut self) {
+        let tick = self.state.ingest_clock.fetch_add(1, Ordering::SeqCst) + 1;
+        let table = std::mem::take(&mut self.table);
+        self.state.ingests.lock().insert(table, tick);
+    }
+}
+
 fn handle_create_table(state: &FleetState, view: &Membership, body: &[u8]) -> Response {
     let parsed = match parse_object(body) {
         Ok(v) => v,
@@ -1345,6 +1344,11 @@ fn handle_create_table(state: &FleetState, view: &Membership, body: &[u8]) -> Re
     )]))
     .expect("replicate bodies always render");
     let path = format!("/tables/{name}");
+    state.ingests.lock().insert(name.clone(), u64::MAX);
+    let _placing = IngestMark {
+        state,
+        table: name.clone(),
+    };
 
     // Each replicate leg adopts the request's span context: the ingest
     // trace shows one parallel `fleet.upstream` per replica, with the
@@ -1424,99 +1428,6 @@ fn handle_create_table(state: &FleetState, view: &Membership, body: &[u8]) -> Re
     )
 }
 
-/// Forwards a read to `table`'s replicas in routing order, failing over
-/// on transport errors and 5xx; 404 is remembered but the other
-/// replicas still get a chance (one replica may have missed the
-/// materialization). `extra_headers` are forwarded on every leg (the
-/// characterize path sends the client's `If-None-Match` so a replica
-/// can answer `304` without shipping the body), and the winning
-/// backend's `ETag` is relayed to the client verbatim. Tags are
-/// deterministic across replicas (report bytes are timing-free), so
-/// rotation and failover revalidate each other's tags with `304`s.
-/// Returns the winning backend id for logging.
-fn proxy_read_with_failover(
-    state: &FleetState,
-    view: &Membership,
-    table: &str,
-    method: &str,
-    path: &str,
-    extra_headers: &[(&str, &str)],
-    body: Option<&str>,
-) -> (Response, Option<String>) {
-    let order = state.read_order(view, table);
-    if order.is_empty() {
-        return (error_response(503, "fleet has no backends"), None);
-    }
-    let mut fallback: Option<(u16, String)> = None;
-    for (attempt, backend) in order.into_iter().enumerate() {
-        if attempt > 0 {
-            state.metrics.failovers_total.inc();
-        }
-        match forward_with_headers(state, &backend, method, path, extra_headers, body) {
-            Ok((status, headers, resp_body)) => {
-                if status == 404 || (500..600).contains(&status) {
-                    if fallback.is_none() || status != 404 {
-                        fallback = Some((status, resp_body));
-                    }
-                    continue;
-                }
-                // Verbatim: characterize responses (bytes, 304s, and
-                // validators) must stay identical to a single-node
-                // serve. Server-Timing rides along so the client sees
-                // the winning replica's stage timings and reuse level.
-                let mut response = Response::new(status, resp_body);
-                if let Some((_, etag)) = headers.iter().find(|(k, _)| k == "etag") {
-                    response = response.with_header("ETag", etag.clone());
-                }
-                if let Some((_, timing)) = headers.iter().find(|(k, _)| k == "server-timing") {
-                    response = response.with_header("Server-Timing", timing.clone());
-                }
-                return (response, Some(backend.id().to_string()));
-            }
-            Err(_) => continue,
-        }
-    }
-    match fallback {
-        Some((status, body)) => (Response::new(status, body), None),
-        None => (
-            error_response(503, &format!("no live replica for table `{table}`")),
-            None,
-        ),
-    }
-}
-
-fn handle_characterize(
-    state: &FleetState,
-    view: &Membership,
-    name: &str,
-    req: &Request,
-    trace: Option<&str>,
-) -> (Response, Option<String>) {
-    let body = match utf8_body(&req.body) {
-        Ok(b) => b,
-        Err(resp) => return (resp, None),
-    };
-    // Forward the conditional header so the backend's report cache can
-    // answer 304 without shipping the body across either hop, and the
-    // trace id so the backend's access log carries it.
-    let mut extra = trace_headers(trace);
-    if let Some(v) = req.header("if-none-match") {
-        extra.push(("If-None-Match", v));
-    }
-    let path = format!("/tables/{name}/characterize");
-    proxy_read_with_failover(state, view, name, "POST", &path, &extra, Some(body))
-}
-
-fn handle_export_csv(
-    state: &FleetState,
-    view: &Membership,
-    name: &str,
-    trace: Option<&str>,
-) -> (Response, Option<String>) {
-    let path = format!("/tables/{name}/csv");
-    proxy_read_with_failover(state, view, name, "GET", &path, &trace_headers(trace), None)
-}
-
 /// Deletes a table from **every member**, not just its nominal replica
 /// set. Membership churn strands copies on backends the ring walked
 /// away from; a delete that missed them would leave the repair loop a
@@ -1586,9 +1497,9 @@ fn handle_create_session(
         Ok(t) => t.to_string(),
         Err(e) => return (error_response(e.status, &e.message), None),
     };
-    let body = match utf8_body(body) {
+    let body = match body_text(body) {
         Ok(b) => b,
-        Err(resp) => return (resp, None),
+        Err(e) => return (error_response(e.status, &e.message), None),
     };
     state.sweep_sessions();
     if state.sessions.read().len() >= MAX_FLEET_SESSIONS {
@@ -1606,15 +1517,7 @@ fn handle_create_session(
     }
     let mut fallback: Option<(u16, String)> = None;
     for backend in order {
-        let leg = forward_with_headers(
-            state,
-            &backend,
-            "POST",
-            "/sessions",
-            &trace_headers(trace),
-            Some(body),
-        )
-        .map(|(status, _, resp_body)| (status, resp_body));
+        let leg = forward_traced(state, &backend, "POST", "/sessions", trace, Some(body));
         match leg {
             Ok((201, resp_body)) => {
                 let Some(backend_session) = serde_json::from_str_value(&resp_body)
@@ -1720,9 +1623,9 @@ fn handle_session_step(
         Ok(id) => id,
         Err(resp) => return (resp, None),
     };
-    let body = match utf8_body(body) {
+    let body = match body_text(body) {
         Ok(b) => b,
-        Err(resp) => return (resp, None),
+        Err(e) => return (error_response(e.status, &e.message), None),
     };
     state.sweep_sessions();
     let (backend, backend_session) = {
@@ -1738,15 +1641,7 @@ fn handle_session_step(
         .ok()
         .and_then(|v| v.get("query").and_then(Value::as_str).map(str::to_string));
     let path = format!("/sessions/{backend_session}/step");
-    let leg = forward_with_headers(
-        state,
-        &backend,
-        "POST",
-        &path,
-        &trace_headers(trace),
-        Some(body),
-    )
-    .map(|(status, _, resp_body)| (status, resp_body));
+    let leg = forward_traced(state, &backend, "POST", &path, trace, Some(body));
     match leg {
         Ok((404, resp_body)) => {
             // The backend forgot the session (TTL expiry, table delete):
@@ -1814,15 +1709,14 @@ fn failover_session(
     )]))
     .expect("session bodies always render");
     for backend in candidates {
-        let created = forward_with_headers(
+        let created = forward_traced(
             state,
             &backend,
             "POST",
             "/sessions",
-            &trace_headers(trace),
+            trace,
             Some(&create_body),
-        )
-        .map(|(status, _, resp_body)| (status, resp_body));
+        );
         let Ok((201, resp_body)) = created else {
             continue;
         };
@@ -1868,15 +1762,7 @@ fn failover_session(
         // The interrupted step itself. A client error (bad query) still
         // counts as a successful failover — the session lives here now
         // and the client sees the same 4xx a healthy home would return.
-        let stepped = forward_with_headers(
-            state,
-            &backend,
-            "POST",
-            &step_path,
-            &trace_headers(trace),
-            Some(step_body),
-        )
-        .map(|(status, _, resp_body)| (status, resp_body));
+        let stepped = forward_traced(state, &backend, "POST", &step_path, trace, Some(step_body));
         match stepped {
             Ok((status, resp_body)) if status != 404 && !(500..600).contains(&status) => {
                 if let Some(s) = state.sessions.write().get_mut(&id) {

@@ -350,3 +350,86 @@ fn reactor_counters_appear_in_prometheus() {
         b.shutdown();
     }
 }
+
+/// A `POST /tables` and a `GET /tables` pipelined on one socket: the
+/// listing must see the table, because requests on one connection run
+/// in order. Checked against a lone server and through the router.
+#[test]
+fn pipelined_ingest_is_visible_to_the_listing_behind_it() {
+    let mut csv = String::from("a,b,c\n");
+    for i in 0..200_000u64 {
+        csv.push_str(&format!("{},{},{}\n", i, (i * 7919) % 1009, i % 13));
+    }
+    let ingest = json_body(&[("name", "big"), ("csv", &csv)]);
+    let (backends, addrs) = spawn_backends(2);
+    let fleet = start_fleet("127.0.0.1:0", addrs, FleetOptions::default()).unwrap();
+    let direct = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    for addr in [direct.local_addr(), fleet.local_addr()] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let mut batch = format!(
+            "POST /tables HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            ingest.len()
+        )
+        .into_bytes();
+        batch.extend_from_slice(ingest.as_bytes());
+        batch.extend_from_slice(b"GET /tables HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        stream.write_all(&batch).unwrap();
+        let mut leftover = Vec::new();
+        let (status, head, body) = read_raw_response(&mut stream, &mut leftover);
+        assert_eq!(status, 201, "{addr}: {head}");
+        let (status, _, body_list) = read_raw_response(&mut stream, &mut leftover);
+        let listing = String::from_utf8(body_list).unwrap();
+        assert_eq!(status, 200, "{addr}: {listing}");
+        assert!(
+            listing.contains("\"big\""),
+            "{addr}: the listing ran before the ingest ahead of it: {listing} (ingest: {})",
+            String::from_utf8_lossy(&body)
+        );
+    }
+    direct.shutdown();
+    fleet.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+/// A characterize body that is not UTF-8 gets the same status and body
+/// through the router as from a lone server: the relay forwards any
+/// body and the backend answers it.
+#[test]
+fn non_utf8_characterize_body_matches_single_node() {
+    let (backends, addrs) = spawn_backends(2);
+    let fleet = start_fleet("127.0.0.1:0", addrs, FleetOptions::default()).unwrap();
+    let router = fleet.local_addr();
+    ingest_demo(router);
+    let direct = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    ingest_demo(direct.local_addr());
+    let mut answers = Vec::new();
+    for addr in [direct.local_addr(), router] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let body = [b'{', 0xff, 0xfe, b'}'];
+        let mut raw = format!(
+            "POST /tables/demo/characterize HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(&body);
+        stream.write_all(&raw).unwrap();
+        let (status, _, body) = read_raw_response(&mut stream, &mut Vec::new());
+        answers.push((status, String::from_utf8(body).unwrap()));
+    }
+    assert_eq!(answers[0].0, 400, "{answers:?}");
+    assert!(answers[0].1.contains("not UTF-8"), "{answers:?}");
+    assert_eq!(answers[0], answers[1], "router must answer like serve");
+    direct.shutdown();
+    fleet.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}

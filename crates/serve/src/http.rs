@@ -1,48 +1,87 @@
-//! A dependency-light threaded HTTP/1.1 server (and matching client)
-//! over `std::net`.
+//! The HTTP/1.1 plane: one epoll reactor thread drives every client
+//! socket, a fixed worker pool runs the application handler, and a
+//! small blocking [`Client`] talks to it.
+//!
+//! ```text
+//!            ┌──────────────────────── reactor thread ──────────────────────┐
+//!  clients ──▶ accept ─▶ Conn {rbuf ─▶ parse ─▶ pipeline slots ─▶ wbuf}      │
+//!            │                          │ a Hook claims it │ otherwise      │
+//!            │                          ▼                  ▼                │
+//!            │                   Hook (fleet relay)   jobs ─▶ worker pool   │
+//!            │                                        (handler, waker back) │
+//!            └──────────────────────────────────────────────────────────────┘
+//! ```
 //!
 //! Scope: exactly what a JSON API needs — request line, headers,
-//! `Content-Length` bodies, keep-alive, bounded header/body sizes, a
-//! fixed worker pool, and clean shutdown. No TLS, chunked encoding, or
-//! HTTP/2; the service sits behind whatever terminates those.
+//! `Content-Length` bodies, keep-alive with pipelining, bounded sizes and
+//! times, and clean shutdown. No TLS, chunked encoding, or HTTP/2; the
+//! service sits behind whatever terminates those.
+//!
+//! * **One request at a time per connection.** Requests parse as bytes
+//!   arrive, take a slot in their connection's pipeline, and start in
+//!   order; at most one offloaded request per connection runs at a time,
+//!   so a pipelined write is visible to the read behind it. Responses
+//!   flush strictly in request order.
+//! * **Hooks.** A front-end that answers some requests without a worker
+//!   (the fleet router's characterize relay) passes a [`Hook`]: it is
+//!   offered each request when it is due to start, owns the sockets it
+//!   registers under [`Plane::hook_token`], and answers through
+//!   [`Plane::deliver`]. Claimed requests do not hold up the ones behind
+//!   them. `serve` passes no hook.
+//! * **Bounds.** Heads are capped at [`MAX_HEAD_BYTES`] and bodies at
+//!   [`MAX_BODY_BYTES`]; a request must arrive within 120 s of its first
+//!   byte; keep-alive connections idle for 60 s close; a client that
+//!   stops reading its responses is cut off after 30 s without progress;
+//!   a handler panic becomes a 500; beyond 1024 connections new ones get
+//!   a 503. The 400 and 503 rejections drain the peer's input before
+//!   closing, so a client that is mid-upload still reads its error.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mio::{Events, Interest, Poll, Registry, Token, Waker};
+
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Largest accepted request body (CSV ingest needs room).
 pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
-/// Socket timeout while actively reading or writing a request.
+/// Client read timeout, and how long a server connection with queued
+/// output may go without write progress before it is dropped.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
-/// Wall-clock ceiling on reading one complete request (head + body).
-/// `IO_TIMEOUT` alone is per-read: a peer trickling one byte per
-/// ~29s would pin a worker forever. Generous enough for a
-/// [`MAX_BODY_BYTES`] upload on a slow link.
+/// Wall-clock ceiling on receiving one request (head + body), from its
+/// first byte, so a peer trickling bytes cannot hold a slot forever.
+/// Generous enough for a [`MAX_BODY_BYTES`] upload on a slow link.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(120);
 /// How long a keep-alive connection may sit idle between requests
-/// before it is dropped. Half-open peers that vanished without a FIN
-/// probe as `Idle` forever; without this deadline they would pin
-/// tracker slots (and [`MAX_CONNS`] capacity) indefinitely.
+/// before it is closed (half-open peers never send a FIN).
 const KEEP_ALIVE_TIMEOUT: Duration = Duration::from_secs(60);
-/// How long a worker waits on the dispatch queue before rechecking the
-/// stop flag.
-const DISPATCH_TIMEOUT: Duration = Duration::from_millis(50);
-/// Consecutive idle probes after which a worker naps, so cycling a
-/// queue of quiet connections doesn't spin a core.
-const IDLE_STREAK_NAP: u32 = 16;
-/// Length of that nap; also the latency ceiling it adds to a request
-/// arriving on a quiet server.
-const IDLE_NAP: Duration = Duration::from_millis(2);
-/// Maximum connections resident in the dispatch queue.
+/// Maximum connections served; beyond it new ones are refused with 503.
 const MAX_CONNS: usize = 1024;
+/// Over-capacity connections held at once to be told 503; beyond this a
+/// refusal flood is dropped silently.
+const MAX_REFUSING: usize = 32;
+/// Requests one connection may have queued or in flight before the
+/// reactor stops reading from it. Bounds per-connection memory.
+const PIPELINE_CAP: usize = 32;
+/// Hard bound on draining a rejected connection's input before close.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+/// A drain also ends once the peer has been quiet this long.
+const DRAIN_QUIET: Duration = Duration::from_millis(250);
+/// The reactor wakes at least this often; sweeps run every
+/// [`SWEEP_INTERVAL`] (every wakeup while a connection drains).
+const POLL_TIMEOUT: Duration = Duration::from_millis(500);
+const SWEEP_INTERVAL: Duration = Duration::from_secs(1);
+const DRAIN_TICK: Duration = Duration::from_millis(50);
+
+const TOKEN_LISTENER: Token = Token(0);
+const TOKEN_WAKER: Token = Token(1);
 
 /// A parsed HTTP request.
 #[derive(Debug)]
@@ -118,9 +157,8 @@ impl Response {
     }
 }
 
-/// The standard reason phrase for a status code (used by both the
-/// threaded writer and the router's event-loop data plane).
-pub fn reason(status: u16) -> &'static str {
+/// The standard reason phrase for a status code.
+fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -148,136 +186,76 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 /// instead of silently bypassing it.
 pub type EdgeObserver = Arc<dyn Fn(u16, &str) + Send + Sync>;
 
-/// Handles to every live connection, so shutdown can interrupt workers
-/// blocked reading idle keep-alive sockets.
-#[derive(Default)]
-struct ConnTracker {
-    next_id: AtomicU64,
-    conns: Mutex<HashMap<u64, TcpStream>>,
+/// Frames one response: status line, `Content-Length`, `Connection`,
+/// `Content-Type` (JSON unless `headers` names one), `headers`, blank
+/// line, body. The only response framer: handler responses and the
+/// fleet relay both go through it.
+pub fn encode(status: u16, headers: &[(String, String)], body: &[u8], close: bool) -> Vec<u8> {
+    let mut head = format!(
+        "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        status,
+        reason(status),
+        body.len(),
+        if close { "close" } else { "keep-alive" },
+    );
+    if !headers
+        .iter()
+        .any(|(k, _)| k.eq_ignore_ascii_case("content-type"))
+    {
+        head.push_str("Content-Type: application/json\r\n");
+    }
+    for (name, value) in headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str("\r\n");
+    let mut out = head.into_bytes();
+    out.reserve_exact(body.len());
+    out.extend_from_slice(body);
+    out
 }
 
-impl ConnTracker {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.conns.lock().expect("conn tracker").insert(id, handle);
-        Some(id)
-    }
-
-    fn unregister(&self, id: u64) {
-        self.conns.lock().expect("conn tracker").remove(&id);
-    }
-
-    fn shutdown_all(&self) {
-        for stream in self.conns.lock().expect("conn tracker").values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
+/// [`encode`] for a handler's [`Response`].
+pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
+    encode(
+        response.status,
+        &response.headers,
+        response.body.as_bytes(),
+        close,
+    )
 }
 
-/// A `TcpStream` whose reads respect a resettable wall-clock deadline:
-/// every read clamps the socket timeout to the time remaining, so many
-/// small reads cannot stretch past the deadline the way a fixed
-/// per-read timeout can.
-struct DeadlineStream {
-    stream: TcpStream,
-    deadline: Instant,
-    /// Whether the socket timeout currently equals [`IO_TIMEOUT`], so
-    /// the hot path skips the per-read `setsockopt` until the deadline
-    /// draws within one timeout of expiring.
-    timeout_at_max: bool,
+/// A pipeline position a [`Hook`] answers: its connection, its place on
+/// it, and whether the client asked to close after it.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotId {
+    conn: u64,
+    seq: u64,
+    close: bool,
 }
 
-impl Read for DeadlineStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let remaining = self.deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "request deadline exceeded",
-            ));
-        }
-        if remaining >= IO_TIMEOUT {
-            if !self.timeout_at_max {
-                self.stream.set_read_timeout(Some(IO_TIMEOUT))?;
-                self.timeout_at_max = true;
-            }
-        } else {
-            self.stream.set_read_timeout(Some(remaining))?;
-            self.timeout_at_max = false;
-        }
-        self.stream.read(buf)
+impl SlotId {
+    /// Whether the response must say `Connection: close`.
+    pub fn close(self) -> bool {
+        self.close
     }
 }
 
-/// One accepted connection with its buffered read state.
-///
-/// Connections cycle through the dispatch queue between requests, so a
-/// small worker pool multiplexes arbitrarily many keep-alive clients: a
-/// worker holds a connection for the length of an in-flight request or
-/// a non-blocking readiness probe (one `peek` syscall), never while it
-/// sits idle.
-struct Conn {
-    reader: BufReader<DeadlineStream>,
-    writer: TcpStream,
-    tracker_id: Option<u64>,
-    tracker: Arc<ConnTracker>,
-    /// When the connection last finished a request (or was accepted);
-    /// idle longer than [`KEEP_ALIVE_TIMEOUT`] means drop on probe.
-    last_activity: Instant,
-}
-
-impl Conn {
-    fn idle_expired(&self) -> bool {
-        self.last_activity.elapsed() >= KEEP_ALIVE_TIMEOUT
-    }
-}
-
-impl Drop for Conn {
-    fn drop(&mut self) {
-        if let Some(id) = self.tracker_id {
-            self.tracker.unregister(id);
-        }
-    }
-}
-
-/// What a worker decides after probing a connection.
-enum Probe {
-    /// Bytes are waiting (or already buffered): serve a request now.
-    Ready,
-    /// No bytes yet; put the connection back in the queue.
-    Idle,
-    /// Peer closed or the socket failed: drop the connection.
-    Dead,
-}
-
-fn probe(conn: &mut Conn) -> Probe {
-    // Pipelined bytes may already sit in the BufReader; the socket peek
-    // would miss them.
-    if !conn.reader.buffer().is_empty() {
-        return Probe::Ready;
-    }
-    if conn.writer.set_nonblocking(true).is_err() {
-        return Probe::Dead;
-    }
-    let mut byte = [0u8; 1];
-    let verdict = match conn.writer.peek(&mut byte) {
-        Ok(0) => Probe::Dead, // Orderly shutdown by the peer.
-        Ok(_) => Probe::Ready,
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Probe::Idle
-        }
-        Err(_) => Probe::Dead,
-    };
-    if conn.writer.set_nonblocking(false).is_err() {
-        return Probe::Dead;
-    }
-    verdict
+/// A front-end extension answering some requests on the reactor thread.
+pub trait Hook: Send {
+    /// Offered each request when it is due to start. Returning the
+    /// request hands it to the worker pool; `None` takes it, and the
+    /// hook must later answer it with [`Plane::deliver`].
+    fn claim(&mut self, plane: &mut Plane, slot: SlotId, req: Request) -> Option<Request>;
+    /// Readiness on a socket the hook registered as [`Plane::hook_token`]`(id)`.
+    fn event(&mut self, plane: &mut Plane, id: u64, readable: bool, writable: bool, error: bool);
+    /// Called once per reactor iteration; `woken` when a worker
+    /// completion woke the loop.
+    fn tick(&mut self, plane: &mut Plane, woken: bool);
+    /// Called about once a second, to close idle or stalled sockets.
+    fn sweep(&mut self, plane: &mut Plane, now: Instant);
 }
 
 /// A running server; shuts down when dropped (or via
@@ -285,16 +263,16 @@ fn probe(conn: &mut Conn) -> Probe {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    tracker: Arc<ConnTracker>,
-    acceptor: Option<JoinHandle<()>>,
+    waker: Arc<Waker>,
+    reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts the accept loop plus `threads` workers.
+    /// starts the reactor plus `threads` handler workers.
     pub fn start(addr: impl ToSocketAddrs, threads: usize, handler: Handler) -> io::Result<Self> {
-        Self::start_observed(addr, threads, handler, None)
+        Self::launch(addr, threads, handler, None, None)
     }
 
     /// Like [`Server::start`], with an [`EdgeObserver`] notified of the
@@ -306,138 +284,81 @@ impl Server {
         handler: Handler,
         observer: Option<EdgeObserver>,
     ) -> io::Result<Self> {
+        Self::launch(addr, threads, handler, observer, None)
+    }
+
+    /// Like [`Server::start_observed`], offering every request to `hook`
+    /// before the worker pool.
+    pub fn start_with_hook(
+        addr: impl ToSocketAddrs,
+        threads: usize,
+        handler: Handler,
+        observer: Option<EdgeObserver>,
+        hook: Box<dyn Hook>,
+    ) -> io::Result<Self> {
+        Self::launch(addr, threads, handler, observer, Some(hook))
+    }
+
+    fn launch(
+        addr: impl ToSocketAddrs,
+        threads: usize,
+        handler: Handler,
+        edge: Option<EdgeObserver>,
+        hook: Option<Box<dyn Hook>>,
+    ) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let poll = Poll::new()?;
+        let registry = poll.registry();
+        registry.register(&listener, TOKEN_LISTENER, Interest::READABLE)?;
+        let waker = Arc::new(Waker::new(&registry, TOKEN_WAKER)?);
         let stop = Arc::new(AtomicBool::new(false));
-        let threads = threads.max(1);
-
-        let (tx, rx): (Sender<Conn>, Receiver<Conn>) = channel();
-        let rx = Arc::new(Mutex::new(rx));
-        let tracker = Arc::new(ConnTracker::default());
-
-        let workers = (0..threads)
+        let completions: Arc<Completions> = Arc::default();
+        let (jobs, jobs_rx) = channel::<(SlotId, Request)>();
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+        let workers = (0..threads.max(1))
             .map(|i| {
-                let rx = Arc::clone(&rx);
-                let tx = tx.clone();
+                let jobs = Arc::clone(&jobs_rx);
                 let handler = Arc::clone(&handler);
-                let stop = Arc::clone(&stop);
-                let observer = observer.clone();
+                let completions = Arc::clone(&completions);
+                let waker = Arc::clone(&waker);
                 std::thread::Builder::new()
-                    .name(format!("ziggy-serve-worker-{i}"))
-                    .spawn(move || {
-                        // Consecutive idle probes; cycling only quiet
-                        // connections earns a nap instead of a spin.
-                        let mut idle_streak: u32 = 0;
-                        loop {
-                            let recv = rx
-                                .lock()
-                                .expect("worker queue")
-                                .recv_timeout(DISPATCH_TIMEOUT);
-                            let mut conn = match recv {
-                                Ok(c) => c,
-                                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                                    if stop.load(Ordering::SeqCst) {
-                                        return;
-                                    }
-                                    idle_streak = 0;
-                                    continue;
-                                }
-                                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return,
-                            };
-                            if stop.load(Ordering::SeqCst) {
-                                continue; // Drop the connection; drain the queue.
-                            }
-                            match probe(&mut conn) {
-                                Probe::Dead => {
-                                    idle_streak = 0;
-                                }
-                                Probe::Idle => {
-                                    if conn.idle_expired() {
-                                        // Keep-alive deadline passed:
-                                        // drop instead of requeueing, so
-                                        // half-open peers cannot occupy
-                                        // tracker slots forever.
-                                        idle_streak = 0;
-                                        continue;
-                                    }
-                                    let _ = tx.send(conn);
-                                    idle_streak += 1;
-                                    if idle_streak >= IDLE_STREAK_NAP {
-                                        std::thread::sleep(IDLE_NAP);
-                                        idle_streak = 0;
-                                    }
-                                }
-                                Probe::Ready => {
-                                    idle_streak = 0;
-                                    if serve_one(&mut conn, &handler, observer.as_ref()) {
-                                        conn.last_activity = Instant::now();
-                                        let _ = tx.send(conn);
-                                    }
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn worker")
+                    .name(format!("ziggy-http-worker-{i}"))
+                    .spawn(move || worker(&jobs, &handler, &completions, &waker))
             })
-            .collect();
-
-        let acceptor = {
+            .collect::<io::Result<Vec<_>>>()?;
+        let reactor = {
             let stop = Arc::clone(&stop);
-            let tracker = Arc::clone(&tracker);
-            let observer = observer.clone();
+            let waker = Arc::clone(&waker);
             std::thread::Builder::new()
-                .name("ziggy-serve-acceptor".into())
+                .name("ziggy-http-reactor".into())
                 .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break; // Workers exit via the stop flag.
-                        }
-                        if let Ok(stream) = stream {
-                            if tracker.conns.lock().expect("conn tracker").len() >= MAX_CONNS {
-                                refuse_overloaded(
-                                    stream,
-                                    "server at connection capacity",
-                                    observer.clone(),
-                                );
-                                continue;
-                            }
-                            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-                            let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-                            let _ = stream.set_nodelay(true);
-                            let Ok(reader_half) = stream.try_clone() else {
-                                refuse_overloaded(
-                                    stream,
-                                    "connection setup failed",
-                                    observer.clone(),
-                                );
-                                continue;
-                            };
-                            let conn = Conn {
-                                reader: BufReader::new(DeadlineStream {
-                                    stream: reader_half,
-                                    // Per-request; serve_one resets it.
-                                    deadline: Instant::now() + REQUEST_DEADLINE,
-                                    timeout_at_max: false,
-                                }),
-                                tracker_id: tracker.register(&stream),
-                                writer: stream,
-                                tracker: Arc::clone(&tracker),
-                                last_activity: Instant::now(),
-                            };
-                            if tx.send(conn).is_err() {
-                                break;
-                            }
-                        }
+                    Reactor {
+                        poll,
+                        plane: Plane {
+                            registry,
+                            listener,
+                            conns: HashMap::new(),
+                            next_conn: 0,
+                            jobs,
+                            edge,
+                            ready: Vec::new(),
+                            draining: 0,
+                        },
+                        hook,
+                        waker,
+                        completions,
+                        stop,
                     }
-                })
-                .expect("spawn acceptor")
+                    .run()
+                })?
         };
-
         Ok(Self {
             local_addr,
             stop,
-            tracker,
-            acceptor: Some(acceptor),
+            waker,
+            reactor: Some(reactor),
             workers,
         })
     }
@@ -447,20 +368,19 @@ impl Server {
         self.local_addr
     }
 
-    /// Stops accepting, drains workers, and joins all threads.
+    /// Stops accepting, closes every connection, and joins all threads
+    /// (workers finish the request they are running).
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock the acceptor's blocking `accept`.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
+        let _ = self.waker.wake();
+        if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        // Interrupt workers parked on idle keep-alive connections.
-        self.tracker.shutdown_all();
+        // The reactor dropped the job queue's sender: idle workers exit.
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -469,276 +389,744 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.acceptor.is_some() {
+        if self.reactor.is_some() {
             self.stop_and_join();
         }
     }
 }
 
-/// Concurrent refusal threads; beyond this, over-capacity connections
-/// are dropped silently so a refusal flood cannot itself exhaust the
-/// process.
-const MAX_REFUSAL_THREADS: usize = 32;
-/// Hard wall-clock bound on the pre-close drain, so a peer trickling
-/// bytes cannot keep the draining thread alive indefinitely.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(2);
+/// Framed responses finished by workers, for the reactor to deliver.
+type Completions = Mutex<Vec<(SlotId, Vec<u8>)>>;
 
-static ACTIVE_REFUSALS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Tells a client the server cannot take its connection (over
-/// [`MAX_CONNS`], or the stream could not be set up) before hanging up,
-/// instead of an unexplained reset. Runs on a short-lived, capped,
-/// deadline-bounded thread so neither a slow peer nor a refusal flood
-/// can stall the acceptor or pile up resources.
-fn refuse_overloaded(stream: TcpStream, reason: &'static str, observer: Option<EdgeObserver>) {
-    if ACTIVE_REFUSALS.fetch_add(1, Ordering::Relaxed) >= MAX_REFUSAL_THREADS {
-        ACTIVE_REFUSALS.fetch_sub(1, Ordering::Relaxed);
-        return; // Refusal flood: fall back to dropping silently.
-    }
-    let spawned = std::thread::Builder::new()
-        .name("ziggy-serve-refuse".into())
-        .spawn(move || {
-            refuse_overloaded_blocking(stream, reason, observer);
-            ACTIVE_REFUSALS.fetch_sub(1, Ordering::Relaxed);
-        });
-    if spawned.is_err() {
-        ACTIVE_REFUSALS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-fn refuse_overloaded_blocking(
-    mut stream: TcpStream,
-    reason: &'static str,
-    observer: Option<EdgeObserver>,
+/// Runs offloaded requests until the job queue closes. A handler panic
+/// becomes a 500 and the worker lives on.
+fn worker(
+    jobs: &Mutex<Receiver<(SlotId, Request)>>,
+    handler: &Handler,
+    completions: &Completions,
+    waker: &Waker,
 ) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let trace = ziggy_obs::trace::mint_trace_id();
-    let resp = Response::new(503, format!("{{\"error\":\"{reason}\"}}"))
-        .with_header(ziggy_obs::trace::TRACE_HEADER, trace.clone());
-    let _ = write_response(&mut stream, &resp, true);
-    if let Some(observe) = observer {
-        observe(503, &trace);
+    loop {
+        let job = jobs
+            .lock()
+            .map_err(|_| ())
+            .and_then(|rx| rx.recv().map_err(|_| ()));
+        let Ok((slot, req)) = job else {
+            return;
+        };
+        let response = catch_unwind(AssertUnwindSafe(|| handler(&req)))
+            .unwrap_or_else(|_| Response::new(500, r#"{"error":"internal server error"}"#));
+        let bytes = encode_response(&response, slot.close);
+        drop(req);
+        completions
+            .lock()
+            .expect("completion queue")
+            .push((slot, bytes));
+        let _ = waker.wake();
     }
-    let _ = stream.shutdown(Shutdown::Write);
-    drain_briefly(&mut stream);
 }
 
-/// Consumes whatever the peer already sent — bounded in bytes AND
-/// wall-clock — before a connection carrying a just-written error
-/// response is dropped. Closing with unread bytes queued makes the
-/// kernel RST, which can discard that response from the peer's receive
-/// buffer; draining first keeps the close orderly. The caller must have
-/// bounded the read timeout (short socket timeout or deadline).
-fn drain_briefly<R: Read>(reader: &mut R) {
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    let mut sink = [0u8; 4096];
-    let mut drained = 0usize;
-    while Instant::now() < deadline {
-        match reader.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => {
-                drained += n;
-                // A rejected upload can have a whole body in flight; the
-                // wall-clock deadline is the real bound, the byte cap
-                // only guards against a pathological firehose.
-                if drained > MAX_BODY_BYTES {
+/// Where one request stands in its connection's pipeline.
+enum SlotState {
+    /// Parsed; waits for the offloaded request ahead of it.
+    Waiting(Request),
+    /// With a worker or a hook.
+    Running,
+    /// Framed response bytes, flushed when every earlier slot has been.
+    Ready(Vec<u8>),
+}
+
+struct Slot {
+    seq: u64,
+    close: bool,
+    state: SlotState,
+}
+
+/// The timestamps the sweep judges a connection by.
+#[derive(Debug, Clone, Copy)]
+struct Clocks {
+    /// Last byte read or written.
+    last_io: Instant,
+    /// First byte of the request still being received.
+    request_started: Option<Instant>,
+    /// Last write progress while output is queued in `wbuf`.
+    write_waiting_since: Option<Instant>,
+    /// When the post-rejection drain began.
+    drain_started: Option<Instant>,
+}
+
+/// What the sweep does with a connection.
+#[derive(Debug, PartialEq, Eq)]
+enum Verdict {
+    Keep,
+    Close,
+    /// Answer 400: the request did not arrive within its deadline.
+    RequestTimeout,
+}
+
+impl Clocks {
+    fn new(now: Instant) -> Self {
+        Self {
+            last_io: now,
+            request_started: None,
+            write_waiting_since: None,
+            drain_started: None,
+        }
+    }
+
+    /// The sweep's decision at `now`; `idle` means nothing is queued,
+    /// running, or partly received on the connection.
+    fn verdict(&self, now: Instant, idle: bool) -> Verdict {
+        let since = |t: Instant| now.saturating_duration_since(t);
+        if let Some(t) = self.drain_started {
+            return if since(t) >= DRAIN_DEADLINE || since(self.last_io) >= DRAIN_QUIET {
+                Verdict::Close
+            } else {
+                Verdict::Keep
+            };
+        }
+        if self
+            .write_waiting_since
+            .is_some_and(|t| since(t) >= IO_TIMEOUT)
+        {
+            return Verdict::Close;
+        }
+        if self
+            .request_started
+            .is_some_and(|t| since(t) >= REQUEST_DEADLINE)
+        {
+            return Verdict::RequestTimeout;
+        }
+        if idle && since(self.last_io) >= KEEP_ALIVE_TIMEOUT {
+            return Verdict::Close;
+        }
+        Verdict::Keep
+    }
+}
+
+/// One accepted client connection as a state machine.
+struct Conn {
+    stream: TcpStream,
+    peer: Option<SocketAddr>,
+    rbuf: Vec<u8>,
+    /// A request whose head is parsed and whose body is read straight
+    /// into `body[filled..]` (sized from `Content-Length`, no copy).
+    partial: Option<(Request, usize)>,
+    pipeline: VecDeque<Slot>,
+    next_seq: u64,
+    wbuf: Vec<u8>,
+    wpos: usize,
+    /// An offloaded request of this connection is on a worker.
+    busy: bool,
+    /// A response carrying `Connection: close` is queued: parse nothing
+    /// more, and close (or drain) once it is written.
+    closing: bool,
+    /// The closing response is a 400/503 rejection: drain input before
+    /// the close so the peer does not get a reset instead.
+    drain_on_close: bool,
+    /// The closing response has left the pipeline.
+    final_sent: bool,
+    peer_closed: bool,
+    /// Registered interest (bit 0 read, bit 1 write); 0 = deregistered.
+    interest: u8,
+    clocks: Clocks,
+}
+
+impl Conn {
+    fn idle(&self) -> bool {
+        self.pipeline.is_empty()
+            && self.wpos >= self.wbuf.len()
+            && self.rbuf.is_empty()
+            && self.partial.is_none()
+    }
+}
+
+/// The reactor's connection side, lent to a [`Hook`] on every call.
+pub struct Plane {
+    registry: Registry,
+    listener: TcpListener,
+    conns: HashMap<u64, Conn>,
+    next_conn: u64,
+    jobs: Sender<(SlotId, Request)>,
+    edge: Option<EdgeObserver>,
+    /// Connections that may have a `Waiting` slot ready to start.
+    ready: Vec<u64>,
+    /// Connections currently draining (the sweep runs every tick then).
+    draining: usize,
+}
+
+fn client_token(id: u64) -> Token {
+    Token(2 + 2 * id as usize)
+}
+
+impl Plane {
+    /// The poll registry, for a hook's own sockets.
+    pub fn registry(&self) -> Registry {
+        self.registry
+    }
+
+    /// The token under which a hook registers its socket `id`; the
+    /// reactor routes that socket's readiness to [`Hook::event`].
+    pub fn hook_token(id: u64) -> Token {
+        Token(3 + 2 * id as usize)
+    }
+
+    /// Answers a claimed request with framed response bytes (see
+    /// [`encode`]). A slot whose client has gone is silently dropped.
+    pub fn deliver(&mut self, slot: SlotId, bytes: Vec<u8>) {
+        let Some(conn) = self.conns.get_mut(&slot.conn) else {
+            return;
+        };
+        if let Some(s) = conn.pipeline.iter_mut().find(|s| s.seq == slot.seq) {
+            s.state = SlotState::Ready(bytes);
+        }
+        self.flush(slot.conn);
+    }
+
+    // ---- accept ----------------------------------------------------
+
+    fn accept_ready(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, peer)) => self.accept_one(stream, peer),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return, // WouldBlock, or a transient accept error.
+            }
+        }
+    }
+
+    fn accept_one(&mut self, stream: TcpStream, peer: SocketAddr) {
+        if self.conns.len() >= MAX_CONNS + MAX_REFUSING || stream.set_nonblocking(true).is_err() {
+            return;
+        }
+        // No-Nagle: responses are single writes and must not wait out a
+        // delayed-ACK window.
+        let _ = stream.set_nodelay(true);
+        let id = self.next_conn;
+        self.next_conn += 1;
+        self.conns.insert(
+            id,
+            Conn {
+                stream,
+                peer: Some(peer),
+                rbuf: Vec::new(),
+                partial: None,
+                pipeline: VecDeque::new(),
+                next_seq: 0,
+                wbuf: Vec::new(),
+                wpos: 0,
+                busy: false,
+                closing: false,
+                drain_on_close: false,
+                final_sent: false,
+                peer_closed: false,
+                interest: 0,
+                clocks: Clocks::new(Instant::now()),
+            },
+        );
+        if self.conns.len() > MAX_CONNS {
+            self.reject(id, 503, "server at connection capacity");
+        } else {
+            self.update_interest(id);
+        }
+    }
+
+    // ---- reading and parsing --------------------------------------
+
+    fn read(&mut self, id: u64) {
+        let mut buf = [0u8; 16 * 1024];
+        loop {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
+            };
+            let draining = conn.clocks.drain_started.is_some();
+            if !draining && !wants_read(conn) {
+                break;
+            }
+            let (result, asked) = match (&mut conn.partial, draining) {
+                (Some((req, filled)), false) => {
+                    let asked = req.body.len() - *filled;
+                    let r = conn.stream.read(&mut req.body[*filled..]);
+                    if let Ok(n) = r {
+                        *filled += n;
+                    }
+                    (r, asked)
+                }
+                _ => {
+                    let r = conn.stream.read(&mut buf);
+                    if let (Ok(n), false) = (&r, draining) {
+                        conn.rbuf.extend_from_slice(&buf[..*n]);
+                    }
+                    (r, buf.len())
+                }
+            };
+            match result {
+                Ok(0) => {
+                    conn.peer_closed = true;
+                    if draining {
+                        self.close(id);
+                        return;
+                    }
                     break;
+                }
+                Ok(n) => {
+                    conn.clocks.last_io = Instant::now();
+                    if !draining {
+                        self.parse(id);
+                    }
+                    // A short read means the socket is (almost surely)
+                    // drained; level-triggered epoll re-arms if not.
+                    if n < asked {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.close(id);
+                    return;
                 }
             }
         }
-    }
-}
-
-/// Serves exactly one request on a ready connection. Returns `true` when
-/// the connection should be requeued for more requests.
-fn serve_one(conn: &mut Conn, handler: &Handler, observer: Option<&EdgeObserver>) -> bool {
-    conn.reader.get_mut().deadline = Instant::now() + REQUEST_DEADLINE;
-    let request = match read_request(&mut conn.reader) {
-        Ok(Some(mut r)) => {
-            r.peer = conn.writer.peer_addr().ok();
-            r
-        }
-        Ok(None) => return false, // EOF raced the readiness probe.
-        Err(e) => {
-            // Malformed request: answer 400 once, then drop — draining
-            // the unread remainder first so the close does not RST the
-            // 400 away (same hazard as the over-capacity 503). The
-            // deadline reset bounds each drain read.
-            let trace = ziggy_obs::trace::mint_trace_id();
-            let resp = Response::new(400, format!("{{\"error\":\"{e}\"}}"))
-                .with_header(ziggy_obs::trace::TRACE_HEADER, trace.clone());
-            let _ = write_response(&mut conn.writer, &resp, true);
-            if let Some(observe) = observer {
-                observe(400, &trace);
+        if let Some(conn) = self.conns.get(&id) {
+            if conn.peer_closed && conn.pipeline.is_empty() && conn.wpos >= conn.wbuf.len() {
+                self.close(id); // EOF with nothing owed.
             }
-            let _ = conn.writer.shutdown(Shutdown::Write);
-            conn.reader.get_mut().deadline = Instant::now() + DRAIN_DEADLINE;
-            drain_briefly(&mut conn.reader);
-            return false;
         }
-    };
-    let close = request
-        .header("connection")
-        .is_some_and(|v| v.eq_ignore_ascii_case("close"));
-    let response = catch_unwind(AssertUnwindSafe(|| handler(&request))).unwrap_or_else(|_| {
-        Response::new(500, "{\"error\":\"internal server error\"}".to_string())
-    });
-    if write_response(&mut conn.writer, &response, close).is_err() {
-        return false;
     }
-    !close
-}
 
-/// Reads one line with a hard byte cap, so a peer streaming an endless
-/// newline-free head cannot grow memory (`read_line` alone buffers the
-/// whole "line" before any caller-side length check could run).
-/// Returns the line without its terminator; `Ok(None)` on clean EOF.
-fn read_line_bounded<R: BufRead>(reader: &mut R, max_bytes: usize) -> io::Result<Option<String>> {
-    let mut line = String::new();
-    let n = reader
-        .by_ref()
-        .take(max_bytes as u64 + 1)
-        .read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
+    /// Turns buffered bytes into pipeline slots.
+    fn parse(&mut self, id: u64) {
+        let mut enqueued = false;
+        loop {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
+            };
+            if conn.closing {
+                break;
+            }
+            let req = if let Some((req, filled)) = &conn.partial {
+                if *filled < req.body.len() {
+                    break;
+                }
+                conn.partial.take().expect("checked above").0
+            } else {
+                if conn.pipeline.len() >= PIPELINE_CAP || conn.rbuf.is_empty() {
+                    break;
+                }
+                match parse_head(&conn.rbuf) {
+                    Ok(None) => break,
+                    Err(message) => {
+                        self.reject(id, 400, &message);
+                        return;
+                    }
+                    Ok(Some((mut req, head_len, body_len))) => {
+                        req.peer = conn.peer;
+                        let have = conn.rbuf.len() - head_len;
+                        if have < body_len {
+                            // Size the body once from Content-Length; the
+                            // rest of it is read straight into place.
+                            let mut body = vec![0u8; body_len];
+                            body[..have].copy_from_slice(&conn.rbuf[head_len..]);
+                            conn.rbuf.clear();
+                            req.body = body;
+                            conn.partial = Some((req, have));
+                            break;
+                        }
+                        req.body = conn.rbuf[head_len..head_len + body_len].to_vec();
+                        conn.rbuf.drain(..head_len + body_len);
+                        req
+                    }
+                }
+            };
+            let close = req
+                .header("connection")
+                .is_some_and(|v| v.eq_ignore_ascii_case("close"));
+            conn.clocks.request_started = None;
+            conn.closing = close;
+            let seq = conn.next_seq;
+            conn.next_seq += 1;
+            conn.pipeline.push_back(Slot {
+                seq,
+                close,
+                state: SlotState::Waiting(req),
+            });
+            enqueued = true;
+        }
+        if let Some(conn) = self.conns.get_mut(&id) {
+            // The request deadline runs only while a request is partly
+            // received and the connection is reading.
+            let receiving = !conn.closing
+                && conn.pipeline.len() < PIPELINE_CAP
+                && (conn.partial.is_some() || !conn.rbuf.is_empty());
+            if !receiving {
+                conn.clocks.request_started = None;
+            } else if conn.clocks.request_started.is_none() {
+                conn.clocks.request_started = Some(Instant::now());
+            }
+        }
+        if enqueued {
+            self.ready.push(id);
+        }
     }
-    if !line.ends_with('\n') && n > max_bytes {
-        return Err(bad("request head too large"));
-    }
-    while line.ends_with(['\n', '\r']) {
-        line.pop();
-    }
-    Ok(Some(line))
-}
 
-/// Reads one request; `Ok(None)` on immediate EOF (client closed a
-/// keep-alive connection).
-fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
-    let Some(line) = read_line_bounded(reader, MAX_HEAD_BYTES)? else {
-        return Ok(None);
-    };
-    let mut head_budget = MAX_HEAD_BYTES.saturating_sub(line.len());
-    let mut parts = line.split_whitespace();
-    let (method, target) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if v.starts_with("HTTP/1") => (m.to_ascii_uppercase(), t),
-        _ => return Err(bad("malformed request line")),
-    };
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
-
-    let mut headers = Vec::new();
-    loop {
-        let Some(h) = read_line_bounded(reader, head_budget)? else {
-            return Err(bad("eof in headers"));
+    /// Queues a final 400/503 with a minted trace id behind whatever the
+    /// connection already owes, then drains and closes it.
+    fn reject(&mut self, id: u64, status: u16, message: &str) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
         };
-        head_budget = head_budget
-            .checked_sub(h.len() + 1)
-            .ok_or_else(|| bad("request head too large"))?;
-        if h.is_empty() {
-            break;
+        let trace = ziggy_obs::trace::mint_trace_id();
+        let resp = Response::new(status, format!("{{\"error\":\"{message}\"}}"))
+            .with_header(ziggy_obs::trace::TRACE_HEADER, trace.clone());
+        conn.rbuf = Vec::new();
+        conn.partial = None;
+        conn.clocks.request_started = None;
+        conn.closing = true;
+        conn.drain_on_close = true;
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        conn.pipeline.push_back(Slot {
+            seq,
+            close: true,
+            state: SlotState::Ready(encode_response(&resp, true)),
+        });
+        if let Some(observe) = &self.edge {
+            observe(status, &trace);
         }
-        if let Some((k, v)) = h.split_once(':') {
-            headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
-        }
+        self.flush(id);
     }
 
-    // Only Content-Length framing is supported. Silently ignoring a
-    // chunked body would desync the connection: the chunk stream would
-    // parse as the next request line. Reject instead.
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Err(bad("transfer-encoding is not supported"));
-    }
-    let mut content_length: Option<usize> = None;
-    for (k, v) in &headers {
-        if k == "content-length" {
-            // RFC 9110: DIGITs only. usize::parse alone would also
-            // accept "+5", which intermediaries may frame differently.
-            if !v.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(bad("bad content-length"));
+    // ---- writing ---------------------------------------------------
+
+    /// Writes whatever is now in order: earlier buffered bytes first,
+    /// then ready slots straight from their buffers (only what the
+    /// kernel refuses is copied into `wbuf`).
+    fn flush(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let now = Instant::now();
+        let mut dead = false;
+        while !dead {
+            if conn.wpos < conn.wbuf.len() {
+                match write_some(&mut conn.stream, &conn.wbuf[conn.wpos..]) {
+                    Ok(0) => {}
+                    Ok(n) => {
+                        conn.wpos += n;
+                        conn.clocks.last_io = now;
+                        conn.clocks.write_waiting_since = Some(now);
+                    }
+                    Err(_) => dead = true,
+                }
+                if conn.wpos < conn.wbuf.len() {
+                    break; // Kernel buffer full: keep order, wait for WRITABLE.
+                }
+                conn.wbuf.clear();
+                conn.wpos = 0;
+                conn.clocks.write_waiting_since = None;
             }
-            let n = v.parse::<usize>().map_err(|_| bad("bad content-length"))?;
-            if content_length.is_some_and(|prev| prev != n) {
-                return Err(bad("conflicting content-length headers"));
+            if !matches!(
+                conn.pipeline.front(),
+                Some(Slot {
+                    state: SlotState::Ready(_),
+                    ..
+                })
+            ) {
+                break;
             }
-            content_length = Some(n);
+            let slot = conn.pipeline.pop_front().expect("front exists");
+            let SlotState::Ready(bytes) = slot.state else {
+                unreachable!("front slot is ready")
+            };
+            match write_some(&mut conn.stream, &bytes) {
+                Ok(n) => {
+                    conn.clocks.last_io = now;
+                    if n < bytes.len() {
+                        conn.wbuf.extend_from_slice(&bytes[n..]);
+                        conn.clocks.write_waiting_since = Some(now);
+                    }
+                }
+                Err(_) => dead = true,
+            }
+            if slot.close {
+                conn.final_sent = true;
+                conn.pipeline.clear();
+            }
+        }
+        if dead {
+            self.close(id);
+            return;
+        }
+        let owed = conn.wpos < conn.wbuf.len();
+        if conn.final_sent && !owed {
+            if !conn.drain_on_close {
+                self.close(id);
+                return;
+            }
+            if conn.clocks.drain_started.is_none() {
+                let _ = conn.stream.shutdown(Shutdown::Write);
+                conn.clocks.drain_started = Some(now);
+                conn.clocks.last_io = now;
+                self.draining += 1;
+            }
+        } else if !owed {
+            if !conn.closing && !conn.rbuf.is_empty() && conn.pipeline.len() < PIPELINE_CAP {
+                // Slots freed up with requests already buffered: epoll
+                // does not report bytes read before the pipeline filled.
+                self.parse(id);
+            }
+            if let Some(conn) = self.conns.get(&id) {
+                if conn.peer_closed && conn.pipeline.is_empty() {
+                    self.close(id); // EOF with nothing owed.
+                    return;
+                }
+            }
+        }
+        self.update_interest(id);
+    }
+
+    fn update_interest(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let mut desired = 0u8;
+        if conn.clocks.drain_started.is_some() || wants_read(conn) {
+            desired |= 0b01;
+        }
+        if conn.wpos < conn.wbuf.len() {
+            desired |= 0b10;
+        }
+        apply_interest(
+            &self.registry,
+            &conn.stream,
+            client_token(id),
+            &mut conn.interest,
+            desired,
+        );
+    }
+
+    fn close(&mut self, id: u64) {
+        if let Some(conn) = self.conns.remove(&id) {
+            if conn.interest != 0 {
+                let _ = self.registry.deregister(&conn.stream);
+            }
+            if conn.clocks.drain_started.is_some() {
+                self.draining -= 1;
+            }
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
-        return Err(bad("request body too large"));
+
+    fn client_event(&mut self, id: u64, readable: bool, writable: bool, error: bool) {
+        if error {
+            self.close(id); // Reset or failed socket: nothing more to say.
+            return;
+        }
+        if readable {
+            self.read(id);
+        }
+        if writable {
+            self.flush(id);
+        }
+        self.update_interest(id);
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        headers,
-        body,
-        peer: None,
-    }))
-}
 
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Renders the response head (status line + framing + extra headers +
-/// blank line) exactly as [`write_response`] would send it.
-fn response_head(response: &Response, close: bool) -> String {
-    // Default to JSON, but let a handler override the content type (the
-    // Prometheus exposition route serves text/plain).
-    let has_content_type = response
-        .headers
-        .iter()
-        .any(|(k, _)| k.eq_ignore_ascii_case("content-type"));
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        response.status,
-        reason(response.status),
-        response.body.len(),
-        if close { "close" } else { "keep-alive" },
-    );
-    if !has_content_type {
-        head.push_str("Content-Type: application/json\r\n");
+    fn sweep(&mut self, now: Instant) {
+        let verdicts: Vec<(u64, Verdict)> = self
+            .conns
+            .iter()
+            .map(|(&id, c)| (id, c.clocks.verdict(now, c.idle())))
+            .filter(|(_, v)| *v != Verdict::Keep)
+            .collect();
+        for (id, verdict) in verdicts {
+            match verdict {
+                Verdict::RequestTimeout => self.reject(id, 400, "request deadline exceeded"),
+                _ => self.close(id),
+            }
+        }
     }
-    for (name, value) in &response.headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
+}
+
+/// Whether the connection should read more requests now.
+fn wants_read(conn: &Conn) -> bool {
+    !conn.peer_closed && !conn.closing && conn.pipeline.len() < PIPELINE_CAP
+}
+
+/// Writes as much of `bytes` as the socket takes without blocking.
+fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => written += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
-    head.push_str("\r\n");
-    head
+    Ok(written)
 }
 
-fn write_response<W: Write>(writer: &mut W, response: &Response, close: bool) -> io::Result<()> {
-    writer.write_all(response_head(response, close).as_bytes())?;
-    writer.write_all(response.body.as_bytes())?;
-    writer.flush()
+/// Moves `stream`'s registration from interest bits `current` to
+/// `desired` (bit 0 read, bit 1 write; 0 = deregistered). Touching epoll
+/// only on change is what keeps level-triggered polling from busy
+/// looping on permanently writable sockets.
+pub fn apply_interest(
+    registry: &Registry,
+    stream: &TcpStream,
+    token: Token,
+    current: &mut u8,
+    desired: u8,
+) {
+    if desired == *current {
+        return;
+    }
+    let interest = match desired {
+        0b01 => Interest::READABLE,
+        0b10 => Interest::WRITABLE,
+        _ => Interest::READABLE.add(Interest::WRITABLE),
+    };
+    let result = match (*current, desired) {
+        (_, 0) => registry.deregister(stream),
+        (0, _) => registry.register(stream, token, interest),
+        _ => registry.reregister(stream, token, interest),
+    };
+    if result.is_ok() {
+        *current = desired;
+    }
 }
 
-/// Serializes a full response into one byte buffer — the form the
-/// router's event loop queues on a connection's write buffer (the
-/// threaded path streams via [`write_response`] instead).
-pub fn encode_response(response: &Response, close: bool) -> Vec<u8> {
-    let head = response_head(response, close);
-    let mut out = Vec::with_capacity(head.len() + response.body.len());
-    out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(response.body.as_bytes());
-    out
+struct Reactor {
+    poll: Poll,
+    plane: Plane,
+    hook: Option<Box<dyn Hook>>,
+    waker: Arc<Waker>,
+    completions: Arc<Completions>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Reactor {
+    fn run(mut self) {
+        let mut events = Events::with_capacity(1024);
+        let mut last_sweep = Instant::now();
+        let mut last_drain_check = last_sweep;
+        while !self.stop.load(Ordering::SeqCst) {
+            let timeout = if self.plane.draining > 0 {
+                DRAIN_TICK
+            } else {
+                POLL_TIMEOUT
+            };
+            if self.poll.poll(&mut events, Some(timeout)).is_err() {
+                continue;
+            }
+            let mut woken = false;
+            for event in &events {
+                match event.token() {
+                    TOKEN_LISTENER => self.plane.accept_ready(),
+                    TOKEN_WAKER => {
+                        woken = true;
+                        self.waker.drain();
+                    }
+                    Token(raw) => {
+                        let id = ((raw - 2) / 2) as u64;
+                        if raw % 2 == 0 {
+                            self.plane.client_event(
+                                id,
+                                event.is_readable(),
+                                event.is_writable(),
+                                event.is_error(),
+                            );
+                        } else if let Some(hook) = self.hook.as_mut() {
+                            hook.event(
+                                &mut self.plane,
+                                id,
+                                event.is_readable(),
+                                event.is_writable(),
+                                event.is_error(),
+                            );
+                        }
+                    }
+                }
+                self.start_ready();
+            }
+            let done = std::mem::take(&mut *self.completions.lock().expect("completion queue"));
+            for (slot, bytes) in done {
+                if let Some(conn) = self.plane.conns.get_mut(&slot.conn) {
+                    conn.busy = false;
+                    self.plane.ready.push(slot.conn);
+                }
+                self.plane.deliver(slot, bytes);
+            }
+            self.start_ready();
+            let now = Instant::now();
+            let sweep_due = now.duration_since(last_sweep) >= SWEEP_INTERVAL;
+            let drains_due =
+                self.plane.draining > 0 && now.duration_since(last_drain_check) >= DRAIN_TICK;
+            if sweep_due || drains_due {
+                self.plane.sweep(now);
+                last_drain_check = now;
+            }
+            if let Some(hook) = self.hook.as_mut() {
+                if sweep_due {
+                    hook.sweep(&mut self.plane, now);
+                }
+                hook.tick(&mut self.plane, woken);
+            }
+            if sweep_due {
+                last_sweep = now;
+            }
+            self.start_ready();
+        }
+    }
+
+    /// Starts every request that is due: in order per connection, the
+    /// hook first, and no offload while one from the same connection
+    /// is still running.
+    fn start_ready(&mut self) {
+        while let Some(id) = self.plane.ready.pop() {
+            while let Some(conn) = self.plane.conns.get_mut(&id) {
+                if conn.busy {
+                    break;
+                }
+                let Some(slot) = conn
+                    .pipeline
+                    .iter_mut()
+                    .find(|s| matches!(s.state, SlotState::Waiting(_)))
+                else {
+                    break;
+                };
+                let SlotState::Waiting(req) =
+                    std::mem::replace(&mut slot.state, SlotState::Running)
+                else {
+                    unreachable!("found a waiting slot")
+                };
+                let slot = SlotId {
+                    conn: id,
+                    seq: slot.seq,
+                    close: slot.close,
+                };
+                let req = match self.hook.as_mut() {
+                    Some(hook) => match hook.claim(&mut self.plane, slot, req) {
+                        Some(req) => req,
+                        None => continue,
+                    },
+                    None => req,
+                };
+                if let Some(conn) = self.plane.conns.get_mut(&id) {
+                    conn.busy = true;
+                }
+                let _ = self.plane.jobs.send((slot, req));
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------------------
-// Incremental (buffer-at-a-time) parsing for the event-loop data plane
+// Parsing
 // --------------------------------------------------------------------
 
 /// Locates the end of an HTTP head in `buf`: the index one past the
-/// blank line. Accepts CRLF and bare-LF line endings like the blocking
-/// parser does.
+/// blank line. Accepts CRLF and bare-LF line endings.
 fn find_head_end(buf: &[u8]) -> Option<usize> {
     let mut i = 0;
     while i < buf.len() {
@@ -756,14 +1144,13 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
-/// Parses one complete request out of the front of `buf` without
-/// consuming from a stream: returns `Ok(Some((request, consumed)))`
-/// when `buf` holds a full head **and** body (the caller drains
-/// `consumed` bytes), `Ok(None)` when more bytes are needed, and
-/// `Err` on a malformed head — same validation rules as the blocking
-/// [`read_request`] path (head/body caps, `Content-Length`-only
-/// framing, digit-only agreeing lengths).
-pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String> {
+/// Parses one request head from the front of `buf`: `Ok(Some((request,
+/// head_len, body_len)))` once the head is complete (the body, still
+/// empty in `request`, is the next `body_len` bytes), `Ok(None)` when
+/// more bytes are needed, `Err` on a malformed head. Enforces the head
+/// and body caps and accepts only `Content-Length` framing with
+/// digit-only, agreeing lengths.
+fn parse_head(buf: &[u8]) -> Result<Option<(Request, usize, usize)>, String> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() > MAX_HEAD_BYTES {
             return Err("request head too large".into());
@@ -794,12 +1181,16 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String>
             headers.push((k.trim().to_ascii_lowercase(), v.trim().to_string()));
         }
     }
+    // Silently ignoring a chunked body would desync the connection: the
+    // chunk stream would parse as the next request line. Reject instead.
     if headers.iter().any(|(k, _)| k == "transfer-encoding") {
         return Err("transfer-encoding is not supported".into());
     }
     let mut content_length: Option<usize> = None;
     for (k, v) in &headers {
         if k == "content-length" {
+            // RFC 9110: DIGITs only. usize::parse alone would also
+            // accept "+5", which intermediaries may frame differently.
             if !v.bytes().all(|b| b.is_ascii_digit()) {
                 return Err("bad content-length".into());
             }
@@ -810,25 +1201,19 @@ pub fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, String>
             content_length = Some(n);
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > MAX_BODY_BYTES {
+    let body_len = content_length.unwrap_or(0);
+    if body_len > MAX_BODY_BYTES {
         return Err("request body too large".into());
     }
-    let total = head_end + content_length;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    Ok(Some((
-        Request {
-            method,
-            path,
-            query,
-            headers,
-            body: buf[head_end..total].to_vec(),
-            peer: None,
-        },
-        total,
-    )))
+    let request = Request {
+        method,
+        path,
+        query,
+        headers,
+        body: Vec::new(),
+        peer: None,
+    };
+    Ok(Some((request, head_end, body_len)))
 }
 
 /// A parsed response head (the body follows at `head_len` and runs for
@@ -910,6 +1295,10 @@ pub fn try_parse_response_head(buf: &[u8]) -> Result<Option<ResponseHead>, Strin
 // --------------------------------------------------------------------
 // Client
 // --------------------------------------------------------------------
+
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
 
 /// A full client-side response: status, headers (lower-cased names),
 /// body.
@@ -1097,19 +1486,62 @@ mod tests {
     }
 
     #[test]
-    fn deadline_stream_cuts_off_expired_reads() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let _client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        let mut ds = DeadlineStream {
-            stream: server_side,
-            deadline: Instant::now(), // Already expired.
-            timeout_at_max: false,
+    fn sweep_deadlines_at_an_explicit_now() {
+        let t0 = Instant::now();
+        let at = |d: Duration| t0 + d;
+        let fresh = Clocks::new(t0);
+        assert_eq!(
+            fresh.verdict(at(Duration::from_secs(59)), true),
+            Verdict::Keep
+        );
+        assert_eq!(fresh.verdict(at(KEEP_ALIVE_TIMEOUT), true), Verdict::Close);
+        // A connection with work in flight is never idle-closed.
+        assert_eq!(
+            fresh.verdict(at(KEEP_ALIVE_TIMEOUT * 10), false),
+            Verdict::Keep
+        );
+
+        // A trickling client: bytes keep arriving, yet the request as a
+        // whole must land within the deadline.
+        let trickling = Clocks {
+            last_io: at(REQUEST_DEADLINE),
+            request_started: Some(t0),
+            ..fresh
         };
-        let mut buf = [0u8; 8];
-        let err = ds.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        let just_before = at(REQUEST_DEADLINE - Duration::from_millis(1));
+        assert_eq!(trickling.verdict(just_before, false), Verdict::Keep);
+        assert_eq!(
+            trickling.verdict(at(REQUEST_DEADLINE), false),
+            Verdict::RequestTimeout
+        );
+
+        // A client that never reads its responses.
+        let stalled = Clocks {
+            last_io: at(IO_TIMEOUT),
+            write_waiting_since: Some(t0),
+            ..fresh
+        };
+        assert_eq!(stalled.verdict(at(IO_TIMEOUT), false), Verdict::Close);
+
+        // A drain ends at its deadline, or sooner once the peer is quiet.
+        let draining = Clocks {
+            drain_started: Some(t0),
+            ..fresh
+        };
+        assert_eq!(
+            draining.verdict(at(Duration::from_millis(100)), false),
+            Verdict::Keep
+        );
+        assert_eq!(draining.verdict(at(DRAIN_QUIET), false), Verdict::Close);
+        let chatty = Clocks {
+            last_io: at(DRAIN_DEADLINE - Duration::from_millis(1)),
+            ..draining
+        };
+        assert_eq!(
+            chatty.verdict(at(Duration::from_secs(1)), false),
+            Verdict::Keep
+        );
+        assert_eq!(chatty.verdict(at(DRAIN_DEADLINE), false), Verdict::Close);
     }
 
     #[test]
@@ -1169,6 +1601,37 @@ mod tests {
     }
 
     #[test]
+    fn oversized_body_in_flight_still_reads_its_400() {
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let head = format!(
+            "POST /tables HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        // About 1 MB of the body is on its way when the server decides:
+        // it drains the upload instead of resetting the connection, so
+        // the client finishes sending and then reads its error.
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..16 {
+            stream
+                .write_all(&chunk)
+                .expect("the rejected upload is drained, not reset");
+        }
+        let mut out = Vec::new();
+        stream
+            .read_to_end(&mut out)
+            .expect("an orderly close after the 400, not a reset");
+        let out = String::from_utf8_lossy(&out);
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(out.contains("request body too large"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
     fn handler_panic_becomes_500() {
         let handler: Handler = Arc::new(|req: &Request| {
             if req.path == "/boom" {
@@ -1187,48 +1650,45 @@ mod tests {
     }
 
     #[test]
-    fn try_parse_request_is_incremental_and_strict() {
+    fn parse_head_is_incremental_and_strict() {
         let full = b"POST /tables/t/characterize?k=1 HTTP/1.1\r\nHost: z\r\nContent-Length: 5\r\n\r\nhello";
-        // Every prefix short of the full message asks for more bytes.
-        for cut in 0..full.len() {
+        let head_len = full.len() - 5;
+        // Every prefix short of the blank line asks for more bytes.
+        for cut in 0..head_len {
             assert!(
-                try_parse_request(&full[..cut]).unwrap().is_none(),
+                parse_head(&full[..cut]).unwrap().is_none(),
                 "cut at {cut} should be incomplete"
             );
         }
-        let (req, consumed) = try_parse_request(full).unwrap().unwrap();
-        assert_eq!(consumed, full.len());
+        let (req, consumed, body_len) = parse_head(full).unwrap().unwrap();
+        assert_eq!((consumed, body_len), (head_len, 5));
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/tables/t/characterize");
         assert_eq!(req.query, "k=1");
         assert_eq!(req.header("host"), Some("z"));
-        assert_eq!(req.body, b"hello");
 
-        // Pipelined second request: only the first is consumed.
+        // Pipelined second request: only the first head is consumed.
         let mut two = full.to_vec();
         two.extend_from_slice(b"GET /healthz HTTP/1.1\r\n\r\n");
-        let (_, consumed) = try_parse_request(&two).unwrap().unwrap();
-        assert_eq!(consumed, full.len());
-        let (second, c2) = try_parse_request(&two[consumed..]).unwrap().unwrap();
+        let (second, c2, len2) = parse_head(&two[full.len()..]).unwrap().unwrap();
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
-        assert_eq!(consumed + c2, two.len());
+        assert_eq!(full.len() + c2 + len2, two.len());
 
-        // Same rejection rules as the blocking parser.
         for bad_head in [
             &b"NOT A REQUEST\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 7\r\n\r\nabc"[..],
             &b"POST /x HTTP/1.1\r\nContent-Length: +2\r\n\r\nhi"[..],
         ] {
-            assert!(try_parse_request(bad_head).is_err(), "{bad_head:?}");
+            assert!(parse_head(bad_head).is_err(), "{bad_head:?}");
         }
         // An endless head is rejected rather than buffered forever.
         let endless = vec![b'A'; MAX_HEAD_BYTES + 1];
-        assert!(try_parse_request(&endless).is_err());
-        // Bare-LF line endings are tolerated, like read_request.
+        assert!(parse_head(&endless).is_err());
+        // Bare-LF line endings are tolerated.
         let lf = b"GET /x HTTP/1.1\nHost: z\n\n";
-        let (req, consumed) = try_parse_request(lf).unwrap().unwrap();
+        let (req, consumed, _) = parse_head(lf).unwrap().unwrap();
         assert_eq!(req.path, "/x");
         assert_eq!(consumed, lf.len());
     }
@@ -1256,17 +1716,30 @@ mod tests {
     }
 
     #[test]
-    fn encode_response_matches_streamed_framing() {
+    fn encode_response_matches_relay_framing() {
         let resp = Response::new(200, "{\"ok\":true}").with_header("ETag", "\"e1\"");
         let encoded = encode_response(&resp, false);
-        let mut streamed = Vec::new();
-        write_response(&mut streamed, &resp, false).unwrap();
-        assert_eq!(encoded, streamed);
+        // The fleet relay frames a backend's bytes and relayed headers
+        // through `encode` directly; both must produce the same bytes.
+        let relayed = encode(
+            200,
+            &[("ETag".to_string(), "\"e1\"".to_string())],
+            b"{\"ok\":true}",
+            false,
+        );
+        assert_eq!(encoded, relayed);
         let head = try_parse_response_head(&encoded).unwrap().unwrap();
         assert_eq!(head.status, 200);
         assert_eq!(head.content_length, 11);
         assert_eq!(head.header("etag"), Some("\"e1\""));
         assert_eq!(head.header("content-type"), Some("application/json"));
+        // A handler-chosen content type replaces the JSON default.
+        let text = Response::new(200, "x").with_header("Content-Type", "text/plain");
+        let head = try_parse_response_head(&encode_response(&text, true))
+            .unwrap()
+            .unwrap();
+        assert_eq!(head.header("content-type"), Some("text/plain"));
+        assert!(head.close);
     }
 
     #[test]

@@ -97,11 +97,14 @@ impl From<ziggy_store::StoreError> for ApiError {
     }
 }
 
+/// A request body as text (`400` when it is not UTF-8).
+pub fn body_text(body: &[u8]) -> Result<&str, ApiError> {
+    std::str::from_utf8(body).map_err(|_| ApiError::bad_request("request body is not UTF-8"))
+}
+
 /// Parses a request body as a JSON object.
 pub fn parse_object(body: &[u8]) -> Result<Value, ApiError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| ApiError::bad_request("request body is not UTF-8"))?;
-    let v = serde_json::from_str_value(text)
+    let v = serde_json::from_str_value(body_text(body)?)
         .map_err(|e| ApiError::bad_request(format!("invalid JSON body: {e}")))?;
     if v.as_object().is_none() {
         return Err(ApiError::bad_request("request body must be a JSON object"));

@@ -4,7 +4,7 @@
 //!
 //! The paper positions Ziggy "as a library, to be included into external
 //! exploration systems" behind an interactive front-end (Figure 5). This
-//! crate is that serving layer: a dependency-light, multi-threaded
+//! crate is that serving layer: a dependency-light, event-driven
 //! HTTP/1.1 JSON API over the shared-ownership engine core. One
 //! [`ziggy_core::Ziggy`] engine per ingested table is shared across all
 //! worker threads and all clients, so whole-table statistics and the
@@ -74,8 +74,12 @@
 //!
 //! # Concurrency model
 //!
-//! * A fixed worker-thread pool serves keep-alive connections from a
-//!   blocking accept loop ([`http::Server`]); no async runtime.
+//! * One epoll reactor thread ([`http::Server`]) owns every socket:
+//!   it accepts, parses requests as bytes arrive, and writes responses in
+//!   request order; a fixed pool of [`ServeOptions::threads`] workers
+//!   runs the handler for every route. No async runtime. Requests on one
+//!   connection run one at a time, so a pipelined write is visible to
+//!   the read behind it.
 //! * [`registry::TableRegistry`] and [`sessions::SessionManager`] use
 //!   `parking_lot::RwLock` maps of `Arc` entries: lookups take shared
 //!   read locks, and the engine itself is only `&self` — concurrent
@@ -297,30 +301,17 @@ pub fn serve(addr: impl ToSocketAddrs, options: ServeOptions) -> io::Result<Serv
         options.threads,
         Arc::new(move |req: &Request| {
             let started = Instant::now();
-            // A fleet hop's X-Span-Context wins (it names the trace AND
-            // the remote parent span); a bare well-formed X-Request-Id
-            // still names the trace; mint one otherwise.
-            let span_ctx: Option<(String, String)> = req
-                .header(SPAN_CONTEXT_HEADER)
-                .and_then(span::parse_span_context)
-                .map(|(t, p)| (t.to_string(), p.to_string()));
-            let trace: String = match &span_ctx {
-                Some((t, _)) => t.clone(),
-                None => req
-                    .header(TRACE_HEADER)
-                    .and_then(sanitize_trace_id)
-                    .map(str::to_string)
-                    .unwrap_or_else(mint_trace_id),
-            };
-            let parent = span_ctx.as_ref().map(|(_, p)| p.as_str());
-            let mut root = handler_state.recorder.root(&trace, parent, "serve.request");
+            let (trace, parent) = trace_context(req);
+            let mut root = handler_state
+                .recorder
+                .root(&trace, parent.as_deref(), "serve.request");
             root.attr("method", req.method.clone());
             root.attr("path", req.path.clone());
             let key = metrics::route_key(&req.method, &req.path);
             root.attr("route", key);
             let response = {
                 let _handler = span::child("serve.handler");
-                throttle(&handler_state, limiter.as_ref(), req)
+                limit::throttle(limiter.as_ref(), req, &handler_state.metrics.rate_limited)
                     .unwrap_or_else(|| route(&handler_state, req))
             };
             root.attr("status", response.status.to_string());
@@ -352,23 +343,22 @@ pub fn serve(addr: impl ToSocketAddrs, options: ServeOptions) -> io::Result<Serv
     Ok(ServerHandle { server, state })
 }
 
-/// Applies the per-client rate limit, returning the 429 to send when the
-/// client is over budget. Health checks are exempt: a throttled client
-/// must still look *alive* to the fleet's ring prober, just busy.
-fn throttle(state: &ServeState, limiter: Option<&RateLimiter>, req: &Request) -> Option<Response> {
-    let limiter = limiter?;
-    if req.path == "/healthz" {
-        return None;
+/// The trace a request belongs to, and the remote parent span when a
+/// hop named one. A fleet hop's `X-Span-Context` wins (it names the
+/// trace AND the parent span); a well-formed caller-supplied
+/// `X-Request-Id` still names the trace, so a client can stitch its own
+/// traces; otherwise a fresh id is minted. The id rides every proxied
+/// leg and comes back on the response and every access-log line.
+pub fn trace_context(req: &Request) -> (String, Option<String>) {
+    if let Some((trace, parent)) = req
+        .header(SPAN_CONTEXT_HEADER)
+        .and_then(span::parse_span_context)
+    {
+        return (trace.to_string(), Some(parent.to_string()));
     }
-    let client = req.peer.map_or(limit::ANONYMOUS_CLIENT, |p| p.ip());
-    match limiter.try_acquire(client) {
-        Ok(()) => None,
-        Err(retry_after) => {
-            state.metrics.rate_limited.inc();
-            Some(
-                Response::new(429, r#"{"error":"rate limit exceeded"}"#)
-                    .with_header("Retry-After", retry_after.to_string()),
-            )
-        }
-    }
+    let trace = req
+        .header(TRACE_HEADER)
+        .and_then(sanitize_trace_id)
+        .map_or_else(mint_trace_id, str::to_string);
+    (trace, None)
 }

@@ -12,6 +12,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::http::{Request, Response};
+use crate::metrics::Counter;
+
 /// Bound on distinct client IPs tracked; beyond it, stale buckets (full
 /// ones first — they carry no throttling state worth keeping) are
 /// evicted so an address-rotating client cannot grow the map without
@@ -120,6 +123,29 @@ impl RateLimiter {
             Err(secs as u64)
         }
     }
+}
+
+/// Applies the per-client rate limit to `req`, returning the 429 to send
+/// (and counting it in `rate_limited`) when its client is over budget.
+/// Health checks are exempt: a throttled client must still look *alive*
+/// to the fleet's ring prober, just busy.
+pub fn throttle(
+    limiter: Option<&RateLimiter>,
+    req: &Request,
+    rate_limited: &Counter,
+) -> Option<Response> {
+    let limiter = limiter?;
+    if req.path == "/healthz" {
+        return None;
+    }
+    let retry_after = limiter
+        .try_acquire(req.peer.map_or(ANONYMOUS_CLIENT, |p| p.ip()))
+        .err()?;
+    rate_limited.inc();
+    Some(
+        Response::new(429, r#"{"error":"rate limit exceeded"}"#)
+            .with_header("Retry-After", retry_after.to_string()),
+    )
 }
 
 #[cfg(test)]
