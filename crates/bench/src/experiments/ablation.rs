@@ -11,7 +11,10 @@
 use std::time::Instant;
 
 use crate::harness::{format_duration_us, MarkdownTable};
+use ziggy_core::graph::usable_columns;
+use ziggy_core::prepare::prepare;
 use ziggy_core::{Ziggy, ZiggyConfig};
+use ziggy_store::eval::select;
 use ziggy_synth::{evaluate_recovery, us_crime};
 
 /// One ablation configuration's outcome.
@@ -21,6 +24,9 @@ pub struct AblationPoint {
     pub label: &'static str,
     /// Preparation time (µs).
     pub preparation_us: u64,
+    /// Zig-Components preparation computed: the configuration's work
+    /// count, immune to timing noise.
+    pub components: usize,
     /// End-to-end wall time (µs).
     pub total_us: u64,
     /// Column F1 against planted ground truth.
@@ -32,6 +38,8 @@ pub struct AblationPoint {
 /// Runs the three component configurations on the crime twin.
 pub fn sweep(seed: u64) -> Vec<AblationPoint> {
     let d = us_crime(seed);
+    let mask = select(&d.table, &d.predicate).expect("the twin's predicate parses");
+    let usable = usable_columns(&d.table);
     let configs: [(&'static str, ZiggyConfig); 3] = [
         (
             "univariate only",
@@ -69,9 +77,12 @@ pub fn sweep(seed: u64) -> Vec<AblationPoint> {
             let discovered: Vec<Vec<String>> =
                 report.views.iter().map(|v| v.view.names.clone()).collect();
             let q = evaluate_recovery(&discovered, &d.planted, 0.5);
+            let prepared =
+                prepare(z.cache(), &mask, &usable, z.config()).expect("preparation succeeds");
             AblationPoint {
                 label,
                 preparation_us: report.timings.preparation_us,
+                components: prepared.components().len(),
                 total_us,
                 column_f1: q.column_f1,
                 view_recall: q.view_recall,
@@ -87,6 +98,7 @@ pub fn run(seed: u64) -> String {
     out.push_str("Table T6 — component-family ablation (crime twin)\n\n");
     let mut t = MarkdownTable::new(&[
         "components",
+        "Zig-Components",
         "preparation",
         "end-to-end",
         "column F1",
@@ -95,6 +107,7 @@ pub fn run(seed: u64) -> String {
     for p in &points {
         t.row(&[
             p.label.to_string(),
+            p.components.to_string(),
             format_duration_us(p.preparation_us),
             format_duration_us(p.total_us),
             format!("{:.2}", p.column_f1),
@@ -121,12 +134,14 @@ mod tests {
         let uni = &points[0];
         let paper = &points[1];
         let extended = &points[2];
+        // Work counts, not wall time: timings of one run are too noisy
+        // to order reliably.
         assert!(
-            paper.preparation_us > uni.preparation_us,
-            "pairwise must cost more: {uni:?} vs {paper:?}"
+            paper.components > uni.components,
+            "pairwise must add components: {uni:?} vs {paper:?}"
         );
         assert!(
-            extended.preparation_us >= paper.preparation_us,
+            extended.components >= paper.components,
             "KS must not be free: {paper:?} vs {extended:?}"
         );
         // Quality does not collapse in any configuration.

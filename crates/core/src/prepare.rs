@@ -178,15 +178,15 @@ pub fn prepare(
                 pairs.push((a, b));
             }
         }
-        let pair_components = if config.parallel && pairs.len() >= 64 {
-            // Many pairs: fan out across pairs, scan each pair serially.
-            compute_pairs_parallel(cache, mask, &pairs)
-        } else {
-            // Few pairs: scan each pair's chunks in parallel instead.
-            let chunk_parallel = config.parallel && table.n_rows() > CHUNK_ROWS;
-            compute_pairs_serial(cache, mask, &pairs, chunk_parallel)
-        };
-        components.extend(pair_components);
+        // Many pairs: fan out across pairs, scan each pair serially.
+        // Few pairs: scan each pair's chunks in parallel instead.
+        let pair_parallel = config.parallel && pairs.len() >= 64;
+        let chunk_parallel = config.parallel && !pair_parallel && table.n_rows() > CHUNK_ROWS;
+        let pair_components = run_indexed(pairs.len(), pair_parallel, |i| {
+            let (a, b) = pairs[i];
+            compute_pair(cache, mask, a, b, chunk_parallel)
+        });
+        components.extend(pair_components.into_iter().flatten());
     }
 
     normalize_components(&mut components);
@@ -263,48 +263,6 @@ fn compute_pair(
     let inside = masked_pair_chunked(xs, ys, mask, chunk_parallel);
     let outside = cache.pair_complement(a, b, &inside).ok()?;
     ZigComponent::correlation_shift(a, b, &inside, &outside).ok()
-}
-
-fn compute_pairs_serial(
-    cache: &StatsCache,
-    mask: &Bitmask,
-    pairs: &[(usize, usize)],
-    chunk_parallel: bool,
-) -> Vec<ZigComponent> {
-    pairs
-        .iter()
-        .filter_map(|&(a, b)| compute_pair(cache, mask, a, b, chunk_parallel))
-        .collect()
-}
-
-fn compute_pairs_parallel(
-    cache: &StatsCache,
-    mask: &Bitmask,
-    pairs: &[(usize, usize)],
-) -> Vec<ZigComponent> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(16);
-    let chunk = pairs.len().div_ceil(threads);
-    let mut out: Vec<ZigComponent> = Vec::with_capacity(pairs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| {
-                s.spawn(move || {
-                    slice
-                        .iter()
-                        .filter_map(|&(a, b)| compute_pair(cache, mask, a, b, false))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("pairwise worker panicked"));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
@@ -548,16 +506,21 @@ mod tests {
     #[test]
     fn column_parallel_prepare_matches_serial_exactly() {
         // Table big enough to trip the column fan-out gate (>= 4096
-        // rows, >= 2 usable columns): component values must be
-        // bit-identical to the serial path.
+        // rows, >= 2 usable columns) with 12 numeric columns, so the 66
+        // pairs also take the pair fan-out (>= 64 pairs): every
+        // component must be bit-identical to the serial path.
         let n = 5000usize;
         let mut b = TableBuilder::new();
         b.add_numeric("key", (0..n).map(|i| i as f64).collect());
-        b.add_numeric("a", (0..n).map(|i| ((i * 37) % 997) as f64 * 0.5).collect());
-        b.add_numeric(
-            "b",
-            (0..n).map(|i| ((i * 101) % 773) as f64 - 300.0).collect(),
-        );
+        for c in 1..12usize {
+            let (mul, modulus) = (37 + 14 * c, 997 - 31 * c);
+            b.add_numeric(
+                format!("n{c}"),
+                (0..n)
+                    .map(|i| ((i * mul) % modulus) as f64 * 0.5 - c as f64)
+                    .collect(),
+            );
+        }
         b.add_categorical(
             "cat",
             (0..n).map(|i| Some(["x", "y", "z"][(i * 7) % 3])).collect(),
@@ -579,16 +542,25 @@ mod tests {
                 ..Default::default()
             },
         );
+        let pairs = serial
+            .components()
+            .iter()
+            .filter(|c| c.column_b.is_some())
+            .count();
+        assert!(pairs >= 64, "only {pairs} pair components");
         assert_eq!(serial.components().len(), parallel.components().len());
         for (s, p) in serial.components().iter().zip(parallel.components()) {
             assert_eq!(s.kind, p.kind);
             assert_eq!(s.column_a, p.column_a);
             assert_eq!(s.column_b, p.column_b);
             assert_eq!(
-                s.effect.value, p.effect.value,
+                s.effect.value.to_bits(),
+                p.effect.value.to_bits(),
                 "component order/value drift"
             );
-            assert_eq!(s.normalized, p.normalized);
+            assert_eq!(s.effect.se.to_bits(), p.effect.se.to_bits());
+            assert_eq!(s.effect.p_value.to_bits(), p.effect.p_value.to_bits());
+            assert_eq!(s.normalized.to_bits(), p.normalized.to_bits());
         }
     }
 

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
-use serde_json::{Number, Value};
+use serde_json::Value;
 use ziggy_obs::span::{self, Span, SPAN_CONTEXT_HEADER};
 use ziggy_obs::trace::{mint_trace_id, TRACE_HEADER};
 use ziggy_serve::http::{
@@ -122,43 +122,6 @@ impl DataPlaneStats {
 
     fn set_pool_gauges(&self, gauges: HashMap<String, PoolGauge>) {
         *self.pools.lock() = gauges;
-    }
-
-    /// The `dataplane` section of the router's JSON `/metrics`.
-    pub fn to_json(&self) -> Value {
-        let n = |a: &AtomicU64| Value::Number(Number::U(a.load(Ordering::Relaxed)));
-        let pools = self
-            .pool_gauges()
-            .into_iter()
-            .map(|(id, g)| {
-                (
-                    id,
-                    Value::Object(vec![
-                        ("idle".into(), Value::Number(Number::U(g.idle))),
-                        ("in_flight".into(), Value::Number(Number::U(g.in_flight))),
-                    ]),
-                )
-            })
-            .collect();
-        Value::Object(vec![
-            ("loop_iterations".into(), n(&self.loop_iterations)),
-            ("wakeups".into(), n(&self.wakeups)),
-            ("hot_requests_total".into(), n(&self.hot_requests)),
-            (
-                "offloaded_requests_total".into(),
-                n(&self.offloaded_requests),
-            ),
-            ("pool_checkouts_total".into(), n(&self.pool_checkouts)),
-            (
-                "pool_fresh_connects_total".into(),
-                n(&self.pool_fresh_connects),
-            ),
-            (
-                "pool_retried_reconnects_total".into(),
-                n(&self.pool_retried_reconnects),
-            ),
-            ("pools".into(), Value::Object(pools)),
-        ])
     }
 }
 

@@ -86,7 +86,9 @@ pub use backend::{Backend, BackendsProvider, Prober};
 pub use dataplane::{DataPlane, DataPlaneConfig, DataPlaneStats};
 pub use repair::{repair_round, RepairReport, Repairer};
 pub use ring::HashRing;
-pub use router::{fleet_route_key, route_fleet_traced, FleetState, Membership, FLEET_ROUTE_KEYS};
+pub use router::{
+    fleet_route_key, route_fleet_traced, FleetState, Membership, FLEET_FAMILIES, FLEET_ROUTE_KEYS,
+};
 pub use spawn::{restart_dead_children, restart_dead_children_with, BackendProcess};
 
 /// Options for [`start_fleet`].

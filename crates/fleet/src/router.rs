@@ -51,7 +51,10 @@ use ziggy_obs::trace::TRACE_HEADER;
 use ziggy_obs::{FlightRecorder, LoopStats, PromDoc, RouteHistograms};
 use ziggy_serve::http::{Request, Response};
 use ziggy_serve::json::{body_text, parse_object, required_str};
-use ziggy_serve::metrics::Counter;
+use ziggy_serve::metrics::{
+    by_label, counter, gauge, histogram, info, nonempty, one, put_json, render_json,
+    render_prometheus, text, Counter, Digest, Family, Rows, Sample,
+};
 use ziggy_serve::router::{trace_json, DEFAULT_SLOW_US};
 
 use crate::backend::Backend;
@@ -71,13 +74,17 @@ pub const FLEET_ROUTE_KEYS: &[&str] = &[
     "other",
 ];
 
-/// Maps a request to its route-label key (bounded cardinality; see
-/// [`ziggy_serve::metrics::route_key`]).
+/// Maps a request to its route-label key, always one of
+/// [`FLEET_ROUTE_KEYS`] (bounded cardinality; see
+/// [`ziggy_serve::metrics::route_key`]). Serve-only keys such as `rows`
+/// and `tombstones` name no router route, so they fall into `other`.
 pub fn fleet_route_key(method: &str, path: &str) -> &'static str {
     if path == "/admin" || path.starts_with("/admin/") {
-        "admin"
-    } else {
-        ziggy_serve::metrics::route_key(method, path)
+        return "admin";
+    }
+    match ziggy_serve::metrics::route_key(method, path) {
+        key if FLEET_ROUTE_KEYS.contains(&key) => key,
+        _ => "other",
     }
 }
 
@@ -129,43 +136,6 @@ pub struct FleetMetrics {
     /// Solely-held tables copied off a backend by the pre-drain safety
     /// check before its removal was allowed.
     pub drain_copyouts_total: Counter,
-}
-
-impl FleetMetrics {
-    fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("requests_total".into(), num_u(self.requests_total.get())),
-            ("errors_total".into(), num_u(self.errors_total.get())),
-            ("proxied_total".into(), num_u(self.proxied_total.get())),
-            ("failovers_total".into(), num_u(self.failovers_total.get())),
-            ("rate_limited".into(), num_u(self.rate_limited.get())),
-            (
-                "membership_changes".into(),
-                num_u(self.membership_changes.get()),
-            ),
-            ("repairs_total".into(), num_u(self.repairs_total.get())),
-            (
-                "repair_failures_total".into(),
-                num_u(self.repair_failures_total.get()),
-            ),
-            (
-                "deletes_propagated_total".into(),
-                num_u(self.deletes_propagated_total.get()),
-            ),
-            (
-                "strays_collected_total".into(),
-                num_u(self.strays_collected_total.get()),
-            ),
-            (
-                "session_failovers_total".into(),
-                num_u(self.session_failovers_total.get()),
-            ),
-            (
-                "drain_copyouts_total".into(),
-                num_u(self.drain_copyouts_total.get()),
-            ),
-        ])
-    }
 }
 
 /// Upper bound on live fleet→backend session mappings; creation beyond
@@ -994,255 +964,146 @@ fn handle_get_trace(state: &FleetState, view: &Membership, id: &str) -> Response
     )
 }
 
-/// The router's own metrics as a Prometheus document (`ziggy_fleet_`
-/// prefix, so scraping a router and a backend into one job cannot
-/// collide family names).
-fn router_prometheus(state: &FleetState, view: &Membership) -> PromDoc {
-    let mut doc = PromDoc::new();
-    for (name, counter) in [
-        ("ziggy_fleet_requests_total", &state.metrics.requests_total),
-        ("ziggy_fleet_errors_total", &state.metrics.errors_total),
-        ("ziggy_fleet_proxied_total", &state.metrics.proxied_total),
-        (
-            "ziggy_fleet_failovers_total",
-            &state.metrics.failovers_total,
-        ),
-        (
-            "ziggy_fleet_rate_limited_total",
-            &state.metrics.rate_limited,
-        ),
-        (
-            "ziggy_fleet_membership_changes_total",
-            &state.metrics.membership_changes,
-        ),
-        ("ziggy_fleet_repairs_total", &state.metrics.repairs_total),
-        (
-            "ziggy_fleet_repair_failures_total",
-            &state.metrics.repair_failures_total,
-        ),
-        (
-            "ziggy_fleet_deletes_propagated_total",
-            &state.metrics.deletes_propagated_total,
-        ),
-        (
-            "ziggy_fleet_strays_collected_total",
-            &state.metrics.strays_collected_total,
-        ),
-        (
-            "ziggy_fleet_session_failovers_total",
-            &state.metrics.session_failovers_total,
-        ),
-        (
-            "ziggy_fleet_drain_copyouts_total",
-            &state.metrics.drain_copyouts_total,
-        ),
-    ] {
-        doc.counter(name, &[], counter.get());
-    }
-    let dp = &state.dataplane;
-    for (name, value) in [
-        (
-            "ziggy_fleet_reactor_loop_iterations_total",
-            &dp.loop_iterations,
-        ),
-        ("ziggy_fleet_reactor_wakeups_total", &dp.wakeups),
-        ("ziggy_fleet_reactor_hot_requests_total", &dp.hot_requests),
-        (
-            "ziggy_fleet_reactor_offloaded_requests_total",
-            &dp.offloaded_requests,
-        ),
-        (
-            "ziggy_fleet_reactor_pool_checkouts_total",
-            &dp.pool_checkouts,
-        ),
-        (
-            "ziggy_fleet_reactor_pool_fresh_connects_total",
-            &dp.pool_fresh_connects,
-        ),
-        (
-            "ziggy_fleet_reactor_pool_retried_reconnects_total",
-            &dp.pool_retried_reconnects,
-        ),
-    ] {
-        doc.counter(name, &[], value.load(Ordering::Relaxed));
-    }
-    for (backend, gauge) in dp.pool_gauges() {
-        doc.gauge(
-            "ziggy_fleet_reactor_pool_connections",
-            &[("backend", &backend), ("state", "idle")],
-            gauge.idle as f64,
-        );
-        doc.gauge(
-            "ziggy_fleet_reactor_pool_connections",
-            &[("backend", &backend), ("state", "in_flight")],
-            gauge.in_flight as f64,
-        );
-    }
-    for b in view.backends() {
-        let pool = b.pool().stats();
-        doc.gauge(
-            "ziggy_fleet_backend_pool_idle_connections",
-            &[("backend", b.id())],
-            pool.idle as f64,
-        );
-        doc.counter(
-            "ziggy_fleet_backend_pool_checkouts_total",
-            &[("backend", b.id())],
-            pool.checkouts,
-        );
-        doc.counter(
-            "ziggy_fleet_backend_pool_fresh_connects_total",
-            &[("backend", b.id())],
-            pool.fresh_connects,
-        );
-        doc.counter(
-            "ziggy_fleet_backend_pool_retried_reconnects_total",
-            &[("backend", b.id())],
-            pool.retried_reconnects,
-        );
-    }
-    doc.gauge(
-        "ziggy_fleet_repair_clean_streak",
-        &[],
-        state.repair_clean_streak.load(Ordering::Relaxed) as f64,
-    );
-    doc.gauge("ziggy_fleet_epoch", &[], view.epoch() as f64);
-    doc.gauge(
-        "ziggy_fleet_uptime_seconds",
-        &[],
-        state.started.elapsed().as_secs_f64(),
-    );
-    doc.gauge(
-        "ziggy_fleet_build_info",
-        &[("version", env!("CARGO_PKG_VERSION"))],
-        1.0,
-    );
-    doc.gauge("ziggy_fleet_backends", &[], view.backends().len() as f64);
-    doc.gauge(
-        "ziggy_fleet_backends_healthy",
-        &[],
-        view.backends().iter().filter(|b| b.is_healthy()).count() as f64,
-    );
-    for (route, hist) in state.route_latency.iter() {
-        if hist.count() > 0 {
-            doc.histogram_us(
-                "ziggy_fleet_request_duration_seconds",
-                &[("route", route)],
-                &hist.snapshot(),
-            );
-        }
-    }
-    for b in view.backends() {
-        if b.upstream_latency().count() > 0 {
-            doc.histogram_us(
-                "ziggy_fleet_upstream_duration_seconds",
-                &[("backend", b.id())],
-                &b.upstream_latency().snapshot(),
-            );
-        }
-    }
-    for (loop_name, stats) in [
-        ("repair", &state.repair_stats),
-        ("probe", &*state.probe_stats),
-    ] {
-        doc.counter(
-            "ziggy_fleet_loop_rounds_total",
-            &[("loop", loop_name)],
-            stats.rounds(),
-        );
-        doc.counter(
-            "ziggy_fleet_loop_round_failures_total",
-            &[("loop", loop_name)],
-            stats.failures(),
-        );
-        doc.gauge(
-            "ziggy_fleet_loop_consecutive_failures",
-            &[("loop", loop_name)],
-            stats.consecutive_failures() as f64,
-        );
-        if let Some(age) = stats.last_round_age() {
-            doc.gauge(
-                "ziggy_fleet_loop_last_round_age_seconds",
-                &[("loop", loop_name)],
-                age.as_secs_f64(),
-            );
-        }
-        if stats.durations().count() > 0 {
-            doc.histogram_us(
-                "ziggy_fleet_loop_round_duration_seconds",
-                &[("loop", loop_name)],
-                &stats.durations().snapshot(),
-            );
-        }
-    }
-    doc
+fn per_backend(s: &FleetState, read: fn(&Backend) -> Option<Sample>) -> Rows {
+    let view = s.membership();
+    by_label(view.backends().iter().map(|b| (b.id(), b.as_ref())), read)
 }
 
-/// `GET /metrics?format=prometheus`: the router's own families plus
-/// every backend's exposition scatter-gathered in parallel, each sample
-/// stamped with its `shard` label. A backend that fails to answer (or
-/// answers unparseable text) contributes nothing — the scrape must
-/// degrade, not 503.
-fn handle_metrics_prometheus(state: &FleetState, view: &Membership) -> Response {
-    let mut doc = router_prometheus(state, view);
-    let gathered = scatter_get(state, view, "/metrics?format=prometheus");
-    for (backend, result) in view.backends().iter().zip(gathered) {
-        if let Ok((200, body)) = result {
-            if let Ok(shard_doc) = PromDoc::parse(&body) {
-                doc.absorb(shard_doc, Some(("shard", backend.id())));
+fn per_loop(s: &FleetState, read: fn(&LoopStats) -> Option<Sample>) -> Rows {
+    by_label(
+        [("repair", &s.repair_stats), ("probe", &*s.probe_stats)],
+        read,
+    )
+}
+
+/// The router's metric families (`ziggy_fleet_` prefix, so scraping a
+/// router and a backend into one job cannot collide family names).
+#[rustfmt::skip]
+pub static FLEET_FAMILIES: &[Family<FleetState>] = &[
+    counter("ziggy_fleet_requests_total", "router.requests_total",
+        |s| one(&s.metrics.requests_total)),
+    counter("ziggy_fleet_errors_total", "router.errors_total", |s| one(&s.metrics.errors_total)),
+    counter("ziggy_fleet_proxied_total", "router.proxied_total",
+        |s| one(&s.metrics.proxied_total)),
+    counter("ziggy_fleet_failovers_total", "router.failovers_total",
+        |s| one(&s.metrics.failovers_total)),
+    counter("ziggy_fleet_rate_limited_total", "router.rate_limited",
+        |s| one(&s.metrics.rate_limited)),
+    counter("ziggy_fleet_membership_changes_total", "router.membership_changes",
+        |s| one(&s.metrics.membership_changes)),
+    counter("ziggy_fleet_repairs_total", "router.repairs_total",
+        |s| one(&s.metrics.repairs_total)),
+    counter("ziggy_fleet_repair_failures_total", "router.repair_failures_total",
+        |s| one(&s.metrics.repair_failures_total)),
+    counter("ziggy_fleet_deletes_propagated_total", "router.deletes_propagated_total",
+        |s| one(&s.metrics.deletes_propagated_total)),
+    counter("ziggy_fleet_strays_collected_total", "router.strays_collected_total",
+        |s| one(&s.metrics.strays_collected_total)),
+    counter("ziggy_fleet_session_failovers_total", "router.session_failovers_total",
+        |s| one(&s.metrics.session_failovers_total)),
+    counter("ziggy_fleet_drain_copyouts_total", "router.drain_copyouts_total",
+        |s| one(&s.metrics.drain_copyouts_total)),
+    gauge("ziggy_fleet_repair_clean_streak", "router.repair_clean_streak",
+        |s| one(&s.repair_clean_streak)),
+    counter("ziggy_fleet_reactor_loop_iterations_total", "dataplane.loop_iterations",
+        |s| one(&s.dataplane.loop_iterations)),
+    counter("ziggy_fleet_reactor_wakeups_total", "dataplane.wakeups",
+        |s| one(&s.dataplane.wakeups)),
+    counter("ziggy_fleet_reactor_hot_requests_total", "dataplane.hot_requests_total",
+        |s| one(&s.dataplane.hot_requests)),
+    counter("ziggy_fleet_reactor_offloaded_requests_total", "dataplane.offloaded_requests_total",
+        |s| one(&s.dataplane.offloaded_requests)),
+    counter("ziggy_fleet_reactor_pool_checkouts_total", "dataplane.pool_checkouts_total",
+        |s| one(&s.dataplane.pool_checkouts)),
+    counter("ziggy_fleet_reactor_pool_fresh_connects_total", "dataplane.pool_fresh_connects_total",
+        |s| one(&s.dataplane.pool_fresh_connects)),
+    counter("ziggy_fleet_reactor_pool_retried_reconnects_total",
+        "dataplane.pool_retried_reconnects_total", |s| one(&s.dataplane.pool_retried_reconnects)),
+    gauge("ziggy_fleet_reactor_pool_connections", "dataplane.pools.{backend}.{state}", |s| {
+        let mut rows = Vec::new();
+        for (backend, g) in s.dataplane.pool_gauges() {
+            for (state, v) in [("idle", g.idle), ("in_flight", g.in_flight)] {
+                rows.push((vec![backend.clone(), state.to_string()], v.into()));
             }
         }
-    }
-    Response::new(200, doc.render()).with_header("Content-Type", "text/plain; version=0.0.4")
-}
+        rows
+    }),
+    histogram("ziggy_fleet_request_duration_seconds", Digest::Exemplars,
+        "latency_exemplars.{route}", |s| by_label(s.route_latency.iter(), nonempty)),
+    gauge("ziggy_fleet_epoch", "epoch", |s| one(s.epoch())),
+    gauge("ziggy_fleet_replication", "replication", |s| one(s.replication as u64)),
+    gauge("ziggy_fleet_backends", "backends", |s| one(s.membership().backends().len() as u64)),
+    gauge("ziggy_fleet_backends_healthy", "backends_healthy",
+        |s| one(s.membership().backends().iter().filter(|b| b.is_healthy()).count() as u64)),
+    counter("ziggy_fleet_backend_failures_total", "shards[id={backend}].failures_total",
+        |s| per_backend(s, |b| Some(b.failures_total().into()))),
+    gauge("ziggy_fleet_backend_pool_idle_connections", "shards[id={backend}].pool.idle",
+        |s| per_backend(s, |b| Some(b.pool().stats().idle.into()))),
+    counter("ziggy_fleet_backend_pool_checkouts_total", "shards[id={backend}].pool.checkouts_total",
+        |s| per_backend(s, |b| Some(b.pool().stats().checkouts.into()))),
+    counter("ziggy_fleet_backend_pool_fresh_connects_total",
+        "shards[id={backend}].pool.fresh_connects_total",
+        |s| per_backend(s, |b| Some(b.pool().stats().fresh_connects.into()))),
+    counter("ziggy_fleet_backend_pool_retried_reconnects_total",
+        "shards[id={backend}].pool.retried_reconnects_total",
+        |s| per_backend(s, |b| Some(b.pool().stats().retried_reconnects.into()))),
+    histogram("ziggy_fleet_upstream_duration_seconds", Digest::P99Us,
+        "shards[id={backend}].upstream_p99_us",
+        |s| per_backend(s, |b| nonempty(b.upstream_latency()))),
+    counter("ziggy_fleet_loop_rounds_total", "loops.{loop}.rounds",
+        |s| per_loop(s, |l| Some(l.rounds().into()))),
+    counter("ziggy_fleet_loop_round_failures_total", "loops.{loop}.round_failures",
+        |s| per_loop(s, |l| Some(l.failures().into()))),
+    gauge("ziggy_fleet_loop_consecutive_failures", "loops.{loop}.consecutive_failures",
+        |s| per_loop(s, |l| Some(l.consecutive_failures().into()))),
+    gauge("ziggy_fleet_loop_last_round_age_seconds", "loops.{loop}.last_round_age_seconds",
+        |s| per_loop(s, |l| l.last_round_age().map(|a| Sample::F(a.as_secs_f64())))),
+    histogram("ziggy_fleet_loop_round_duration_seconds", Digest::P99Us, "loops.{loop}.round_p99_us",
+        |s| per_loop(s, |l| nonempty(l.durations()))),
+    gauge("ziggy_fleet_uptime_seconds", "uptime_seconds",
+        |s| one(Sample::F(s.started.elapsed().as_secs_f64()))),
+    info("ziggy_fleet_build_info", "version", |_| text(env!("CARGO_PKG_VERSION"))),
+];
 
+/// `GET /metrics`: the router's own families plus every backend's
+/// document, scatter-gathered in parallel. In Prometheus form each
+/// backend sample is stamped with its `shard` label; in JSON each
+/// backend's document sits under `shards[].metrics`. A backend that
+/// fails to answer (or answers unparseable text) contributes nothing
+/// (`null` in JSON) — the scrape must degrade, not 503.
 fn handle_metrics(state: &FleetState, view: &Membership, req: &Request) -> Response {
     if req.query_param("format") == Some("prometheus") {
-        return handle_metrics_prometheus(state, view);
+        let mut doc = render_prometheus(FLEET_FAMILIES, state);
+        let gathered = scatter_get(state, view, "/metrics?format=prometheus");
+        for (backend, result) in view.backends().iter().zip(gathered) {
+            if let Ok((200, body)) = result {
+                if let Ok(shard_doc) = PromDoc::parse(&body) {
+                    doc.absorb(shard_doc, Some(("shard", backend.id())));
+                }
+            }
+        }
+        return Response::new(200, doc.render())
+            .with_header("Content-Type", "text/plain; version=0.0.4");
     }
     let gathered = scatter_get(state, view, "/metrics");
-    let shards: Vec<Value> = view
-        .backends()
-        .iter()
-        .zip(gathered)
-        .map(|(b, result)| {
-            let metrics = match result {
-                Ok((200, body)) => serde_json::from_str_value(&body).unwrap_or(Value::Null),
-                _ => Value::Null,
-            };
-            let pool = b.pool().stats();
-            Value::Object(vec![
-                ("id".into(), Value::String(b.id().to_string())),
-                ("addr".into(), Value::String(b.addr().to_string())),
-                ("healthy".into(), Value::Bool(b.is_healthy())),
-                ("failures_total".into(), num_u(b.failures_total())),
-                (
-                    "pool".into(),
-                    Value::Object(vec![
-                        ("idle".into(), num_u(pool.idle)),
-                        ("checkouts_total".into(), num_u(pool.checkouts)),
-                        ("fresh_connects_total".into(), num_u(pool.fresh_connects)),
-                        (
-                            "retried_reconnects_total".into(),
-                            num_u(pool.retried_reconnects),
-                        ),
-                    ]),
-                ),
-                ("metrics".into(), metrics),
-            ])
-        })
-        .collect();
-    let body = Value::Object(vec![
-        ("router".into(), state.metrics.to_json()),
-        ("dataplane".into(), state.dataplane.to_json()),
-        (
-            "latency_exemplars".into(),
-            ziggy_serve::metrics::route_exemplars_json(&state.route_latency),
-        ),
-        ("epoch".into(), num_u(view.epoch())),
-        ("replication".into(), num_u(state.replication as u64)),
-        ("shards".into(), Value::Array(shards)),
-    ]);
+    let mut body = render_json(FLEET_FAMILIES, state);
+    for (b, result) in view.backends().iter().zip(gathered) {
+        let metrics = match result {
+            Ok((200, text)) => serde_json::from_str_value(&text).unwrap_or(Value::Null),
+            _ => Value::Null,
+        };
+        let shard = [("backend", b.id())];
+        for (path, value) in [
+            (
+                "shards[id={backend}].addr",
+                Value::String(b.addr().to_string()),
+            ),
+            ("shards[id={backend}].healthy", Value::Bool(b.is_healthy())),
+            ("shards[id={backend}].metrics", metrics),
+        ] {
+            put_json(&mut body, path, &shard, value);
+        }
+    }
     Response::new(
         200,
         serde_json::to_string(&body).expect("metrics bodies always render"),
@@ -1823,4 +1684,32 @@ fn handle_delete_session(state: &FleetState, id: &str) -> (Response, Option<Stri
         ),
         Some(session.backend.id().to_string()),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fleet_route_keys_have_bounded_cardinality() {
+        for (method, path, want) in [
+            ("GET", "/healthz", "healthz"),
+            ("GET", "/metrics", "metrics"),
+            ("POST", "/tables", "tables"),
+            ("DELETE", "/tables/demo", "tables"),
+            ("POST", "/tables/demo/characterize", "characterize"),
+            ("GET", "/tables/demo/csv", "csv"),
+            ("POST", "/sessions", "sessions"),
+            ("POST", "/sessions/7/step", "session_step"),
+            ("POST", "/admin/backends", "admin"),
+            // Serve-only routes the router does not meter by name.
+            ("POST", "/tables/demo/rows", "other"),
+            ("GET", "/tombstones", "other"),
+            ("GET", "/anything/else/at/all", "other"),
+        ] {
+            let key = fleet_route_key(method, path);
+            assert_eq!(key, want, "{method} {path}");
+            assert!(FLEET_ROUTE_KEYS.contains(&key), "{method} {path} -> {key}");
+        }
+    }
 }

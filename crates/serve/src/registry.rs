@@ -631,108 +631,16 @@ impl TableRegistry {
         self.tables.read().is_empty()
     }
 
-    /// Summaries of all tables, sorted by name for stable output.
-    pub fn summaries(&self) -> Vec<Value> {
-        let mut entries: Vec<Arc<TableEntry>> = self.tables.read().values().cloned().collect();
-        entries.sort_by(|a, b| a.name.cmp(&b.name));
-        entries.iter().map(|e| e.summary()).collect()
-    }
-
-    /// Per-table cache counters for `/metrics`, sorted by name. Each
-    /// table reports all three reuse levels: `cache` is the whole-table
-    /// moment/frequency cache, `prepared` the per-query `PreparedStats`
-    /// cache (its `misses` count exactly how many times the preparation
-    /// stage actually ran on this engine), and `reports` the
-    /// finished-report/byte cache (its `hits` count characterizations
-    /// that skipped view search, post-processing, and serialization
-    /// entirely).
-    pub fn cache_stats(&self) -> Vec<Value> {
+    /// All tables, sorted by name for stable output.
+    pub fn entries(&self) -> Vec<Arc<TableEntry>> {
         let mut entries: Vec<Arc<TableEntry>> = self.tables.read().values().cloned().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         entries
-            .iter()
-            .map(|e| {
-                let c = e.cache().counters();
-                let (uni, pair, freq) = e.cache().sizes();
-                let p = e.engine().prepared_cache().counters();
-                let r = e.engine().report_cache().counters();
-                let (z_skip, z_fill, z_scan) = e.cache().zone_maps().counters();
-                Value::Object(vec![
-                    ("name".into(), Value::String(e.name.clone())),
-                    (
-                        "zone_maps".into(),
-                        Value::Object(vec![
-                            (
-                                "chunks_skipped".into(),
-                                Value::Number(serde_json::Number::U(z_skip)),
-                            ),
-                            (
-                                "chunks_filled".into(),
-                                Value::Number(serde_json::Number::U(z_fill)),
-                            ),
-                            (
-                                "chunks_scanned".into(),
-                                Value::Number(serde_json::Number::U(z_scan)),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "cache".into(),
-                        Value::Object(vec![
-                            ("hits".into(), Value::Number(serde_json::Number::U(c.hits))),
-                            (
-                                "misses".into(),
-                                Value::Number(serde_json::Number::U(c.misses)),
-                            ),
-                            (
-                                "entries".into(),
-                                Value::Number(serde_json::Number::U((uni + pair + freq) as u64)),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "prepared".into(),
-                        Value::Object(vec![
-                            ("hits".into(), Value::Number(serde_json::Number::U(p.hits))),
-                            (
-                                "misses".into(),
-                                Value::Number(serde_json::Number::U(p.misses)),
-                            ),
-                            (
-                                "evictions".into(),
-                                Value::Number(serde_json::Number::U(p.evictions)),
-                            ),
-                            (
-                                "entries".into(),
-                                Value::Number(serde_json::Number::U(
-                                    e.engine().prepared_cache().len() as u64,
-                                )),
-                            ),
-                        ]),
-                    ),
-                    (
-                        "reports".into(),
-                        Value::Object(vec![
-                            ("hits".into(), Value::Number(serde_json::Number::U(r.hits))),
-                            (
-                                "misses".into(),
-                                Value::Number(serde_json::Number::U(r.misses)),
-                            ),
-                            (
-                                "evictions".into(),
-                                Value::Number(serde_json::Number::U(r.evictions)),
-                            ),
-                            (
-                                "entries".into(),
-                                Value::Number(serde_json::Number::U(
-                                    e.engine().report_cache().len() as u64,
-                                )),
-                            ),
-                        ]),
-                    ),
-                ])
-            })
-            .collect()
+    }
+
+    /// Summaries of all tables, sorted by name.
+    pub fn summaries(&self) -> Vec<Value> {
+        self.entries().iter().map(|e| e.summary()).collect()
     }
 }
 

@@ -11,7 +11,7 @@ use ziggy_obs::{FlightRecorder, Span, TraceEntry};
 
 use crate::http::{Request, Response};
 use crate::json::{parse_object, required_str, ApiError};
-use crate::metrics::Metrics;
+use crate::metrics::{self, Metrics, SERVE_FAMILIES};
 use crate::registry::TableRegistry;
 use crate::sessions::SessionManager;
 
@@ -325,151 +325,14 @@ fn handle_metrics(state: &ServeState, req: &Request) -> Result<Response, ApiErro
     // server receiving no session traffic.
     state.sessions.sweep_expired();
     if req.query_param("format") == Some("prometheus") {
-        let mut doc = state.metrics.to_prometheus();
-        doc.counter(
-            "ziggy_sessions_expired_total",
-            &[],
-            state.sessions.expired_total(),
-        );
-        doc.gauge(
-            "ziggy_uptime_seconds",
-            &[],
-            state.started.elapsed().as_secs_f64(),
-        );
-        doc.gauge(
-            "ziggy_build_info",
-            &[("version", env!("CARGO_PKG_VERSION"))],
-            1.0,
-        );
-        if let Some(log) = state.registry.durable() {
-            use std::sync::atomic::Ordering;
-            let m = log.metrics();
-            doc.counter(
-                "ziggy_durable_records_total",
-                &[],
-                m.records.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_fsyncs_total",
-                &[],
-                m.fsyncs.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_group_commits_total",
-                &[],
-                m.group_commits.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_snapshots_total",
-                &[],
-                m.snapshots.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_segments_compacted_total",
-                &[],
-                m.segments_compacted.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_torn_records_total",
-                &[],
-                m.torn_records.load(Ordering::Relaxed),
-            );
-            doc.counter(
-                "ziggy_durable_snapshot_checksum_failures_total",
-                &[],
-                m.snapshot_checksum_failures.load(Ordering::Relaxed),
-            );
-            doc.gauge("ziggy_durable_async_lag_ms", &[], log.async_lag_ms() as f64);
-            doc.gauge("ziggy_durable_segments", &[], log.segment_count() as f64);
-            doc.gauge("ziggy_durable_snapshot_lsn", &[], log.snapshot_lsn() as f64);
-            doc.gauge(
-                "ziggy_durable_replay_records",
-                &[],
-                m.replay_records.load(Ordering::Relaxed) as f64,
-            );
-            doc.gauge(
-                "ziggy_durable_replay_seconds",
-                &[],
-                m.replay_us.load(Ordering::Relaxed) as f64 / 1e6,
-            );
-            doc.gauge(
-                "ziggy_durable_mode_info",
-                &[("mode", log.mode().as_str())],
-                1.0,
-            );
-            if m.append_latency.count() > 0 {
-                doc.histogram_us(
-                    "ziggy_durable_append_duration_seconds",
-                    &[],
-                    &m.append_latency.snapshot(),
-                );
-            }
-            if m.fsync_latency.count() > 0 {
-                doc.histogram_us(
-                    "ziggy_durable_fsync_duration_seconds",
-                    &[],
-                    &m.fsync_latency.snapshot(),
-                );
-            }
-        }
+        let doc = metrics::render_prometheus(SERVE_FAMILIES, state);
         return Ok(Response::new(200, doc.render())
             .with_header("Content-Type", "text/plain; version=0.0.4"));
     }
-    let mut body = match state.metrics.to_json() {
-        Value::Object(pairs) => pairs,
-        _ => unreachable!("metrics render as an object"),
-    };
-    if let Some((_, Value::Object(requests))) = body.iter_mut().find(|(k, _)| k == "requests") {
-        requests.push((
-            "sessions_expired".into(),
-            Value::Number(serde_json::Number::U(state.sessions.expired_total())),
-        ));
-    }
-    body.push(("tables".into(), Value::Array(state.registry.cache_stats())));
-    body.push(("latency_exemplars".into(), state.metrics.exemplars_json()));
-    if let Some(log) = state.registry.durable() {
-        use std::sync::atomic::Ordering;
-        let m = log.metrics();
-        let n = |v: u64| Value::Number(serde_json::Number::U(v));
-        body.push((
-            "durable".into(),
-            Value::Object(vec![
-                ("mode".into(), Value::String(log.mode().as_str().into())),
-                ("records".into(), n(m.records.load(Ordering::Relaxed))),
-                ("fsyncs".into(), n(m.fsyncs.load(Ordering::Relaxed))),
-                (
-                    "group_commits".into(),
-                    n(m.group_commits.load(Ordering::Relaxed)),
-                ),
-                ("snapshots".into(), n(m.snapshots.load(Ordering::Relaxed))),
-                (
-                    "segments_compacted".into(),
-                    n(m.segments_compacted.load(Ordering::Relaxed)),
-                ),
-                (
-                    "torn_records".into(),
-                    n(m.torn_records.load(Ordering::Relaxed)),
-                ),
-                (
-                    "snapshot_checksum_failures".into(),
-                    n(m.snapshot_checksum_failures.load(Ordering::Relaxed)),
-                ),
-                ("async_lag_ms".into(), n(log.async_lag_ms())),
-                (
-                    "replay_records".into(),
-                    n(m.replay_records.load(Ordering::Relaxed)),
-                ),
-                ("replay_us".into(), n(m.replay_us.load(Ordering::Relaxed))),
-                ("segments".into(), n(log.segment_count() as u64)),
-                ("snapshot_lsn".into(), n(log.snapshot_lsn())),
-                (
-                    "append_p99_us".into(),
-                    n(m.append_latency.quantile_us(0.99).unwrap_or(0)),
-                ),
-            ]),
-        ));
-    }
-    Ok(json_response(200, &Value::Object(body)))
+    Ok(json_response(
+        200,
+        &metrics::render_json(SERVE_FAMILIES, state),
+    ))
 }
 
 fn handle_create_table(state: &ServeState, body: &[u8]) -> Result<Response, ApiError> {

@@ -4,13 +4,17 @@
 //! any lint problem (invalid names, duplicate series, histogram
 //! bucket/count inconsistencies). This is the job that keeps the
 //! exposition scrapeable: a malformed line here is exactly what a real
-//! Prometheus server would reject.
+//! Prometheus server would reject. Each test also scrapes the JSON
+//! document and checks that every family in the process's list is in
+//! both formats (see [`assert_formats_agree`]).
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use ziggy::fleet::{start_fleet, FleetOptions};
-use ziggy::obs::PromDoc;
+use serde_json::Value;
+use ziggy::fleet::{start_fleet, FleetOptions, FLEET_FAMILIES};
+use ziggy::obs::{PromDoc, PromKind};
 use ziggy::serve::http::request_once;
+use ziggy::serve::metrics::{Family, Kind, SERVE_FAMILIES};
 use ziggy::serve::{serve, ServeOptions};
 
 fn json_body(fields: &[(&str, &str)]) -> String {
@@ -48,6 +52,87 @@ fn scrape_clean(addr: std::net::SocketAddr) -> PromDoc {
     let problems = doc.lint();
     assert!(problems.is_empty(), "lint problems: {problems:?}\n{text}");
     doc
+}
+
+/// Scrapes the JSON `/metrics` document from `addr`.
+fn scrape_json(addr: std::net::SocketAddr) -> Value {
+    let (status, body) = request_once(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    serde_json::from_str_value(&body).unwrap()
+}
+
+/// The JSON value of `f`'s sample with label `values`, found by walking
+/// the family's path (see the path syntax in `ziggy_serve::metrics`).
+fn json_at<'a, S>(f: &Family<S>, doc: &'a Value, values: &[&str]) -> Option<&'a Value> {
+    let fill = |template: &str| {
+        let mut out = template.to_string();
+        for (name, value) in f.labels().iter().zip(values) {
+            let key = f.json_keys.iter().find(|(from, _)| from == value);
+            out = out.replace(&format!("{{{name}}}"), key.map_or(*value, |(_, to)| to));
+        }
+        out
+    };
+    let mut node = doc;
+    for segment in f.json.split('.') {
+        node = match segment.split_once('[') {
+            None => node.get(&fill(segment))?,
+            Some((key, selector)) => {
+                let (field, id) = selector.trim_end_matches(']').split_once('=')?;
+                let id = fill(id);
+                node.get(&fill(key))?
+                    .as_array()?
+                    .iter()
+                    .find(|v| v.get(field).and_then(Value::as_str) == Some(id.as_str()))?
+            }
+        };
+    }
+    Some(node)
+}
+
+/// Asserts the two formats agree on one process's family list: names
+/// are unique; every family is in the Prometheus scrape with its
+/// declared kind; and each
+/// of its series (the process's own, not ones absorbed with a `shard`
+/// label) has a value at its path in the JSON document.
+fn assert_formats_agree<S>(families: &[Family<S>], prom: &PromDoc, json: &Value) {
+    let mut names: Vec<&str> = families.iter().map(|f| f.name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), families.len(), "a family is declared twice");
+    for f in families {
+        let family = prom
+            .families
+            .iter()
+            .find(|p| p.name == f.name)
+            .unwrap_or_else(|| panic!("{} missing from the Prometheus scrape", f.name));
+        let kind = match f.kind {
+            Kind::Counter => PromKind::Counter,
+            Kind::Gauge | Kind::Info => PromKind::Gauge,
+            Kind::Histogram(_) => PromKind::Histogram,
+        };
+        assert_eq!(family.kind, kind, "{}", f.name);
+        let series: Vec<_> = family
+            .samples
+            .iter()
+            .filter(|s| s.label("shard").is_none())
+            .filter(|s| !matches!(f.kind, Kind::Histogram(_)) || s.name.ends_with("_count"))
+            .collect();
+        assert!(!series.is_empty(), "{} has no local series", f.name);
+        for sample in series {
+            let values: Vec<&str> = f
+                .labels()
+                .iter()
+                .map(|l| sample.label(l).expect("declared label present"))
+                .collect();
+            assert!(
+                json_at(f, json, &values).is_some(),
+                "{}{values:?} is not at {} in the JSON document: {}",
+                f.name,
+                f.json,
+                serde_json::to_string(json).unwrap()
+            );
+        }
+    }
 }
 
 /// Asserts every *populated* bucket of `family` (a cumulative count
@@ -120,7 +205,17 @@ fn assert_trace_resolves(addr: std::net::SocketAddr, trace_id: &str) {
 
 #[test]
 fn serve_prometheus_exposition_is_lint_clean() {
-    let server = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    // A data directory, so the WAL families are live too.
+    let dir = std::env::temp_dir().join(format!("ziggy_metrics_lint_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = serve(
+        "127.0.0.1:0",
+        ServeOptions {
+            data_dir: Some(dir.clone()),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
     let addr = server.local_addr();
 
     // Drive some traffic so counters and histograms carry real values.
@@ -159,7 +254,9 @@ fn serve_prometheus_exposition_is_lint_clean() {
     // the id resolves to a span tree in the flight recorder.
     let trace = assert_bucket_exemplars(&doc, "ziggy_request_duration_seconds");
     assert_trace_resolves(addr, &trace);
+    assert_formats_agree(SERVE_FAMILIES, &doc, &scrape_json(addr));
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -180,6 +277,7 @@ fn fleet_prometheus_exposition_is_lint_clean_with_shard_labels() {
         FleetOptions {
             replication: 2,
             probe_interval: Duration::from_millis(100),
+            repair_interval: Some(Duration::from_millis(100)),
             ..FleetOptions::default()
         },
     )
@@ -200,6 +298,15 @@ fn fleet_prometheus_exposition_is_lint_clean_with_shard_labels() {
         let (status, resp) =
             request_once(router, "POST", "/tables/t/characterize", Some(&query)).unwrap();
         assert_eq!(status, 200, "{resp}");
+    }
+
+    // Both background loops have finished a round, so their age and
+    // duration families carry samples.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let state = fleet.state();
+    while state.repair_stats.rounds() == 0 || state.probe_stats.rounds() == 0 {
+        assert!(Instant::now() < deadline, "loops never ran a round");
+        std::thread::sleep(Duration::from_millis(20));
     }
 
     let doc = scrape_clean(router);
@@ -237,6 +344,7 @@ fn fleet_prometheus_exposition_is_lint_clean_with_shard_labels() {
     assert_trace_resolves(router, &trace);
     let backend_trace = assert_bucket_exemplars(&doc, "ziggy_request_duration_seconds");
     assert_trace_resolves(router, &backend_trace);
+    assert_formats_agree(FLEET_FAMILIES, &doc, &scrape_json(router));
 
     fleet.shutdown();
     for b in backends {
