@@ -40,6 +40,14 @@ pub enum ComponentKind {
 }
 
 impl ComponentKind {
+    /// Every one-column family (all but [`ComponentKind::CorrelationShift`]).
+    pub const UNIVARIATE: [ComponentKind; 4] = [
+        ComponentKind::MeanShift,
+        ComponentKind::DispersionShift,
+        ComponentKind::FrequencyShift,
+        ComponentKind::ShapeShift,
+    ];
+
     /// Human-readable family name.
     pub fn name(self) -> &'static str {
         match self {
@@ -173,7 +181,7 @@ impl ZigComponent {
 
     /// True when the component concerns only columns inside `set`.
     pub fn within(&self, set: &[usize]) -> bool {
-        self.columns().iter().all(|c| set.contains(c))
+        set.contains(&self.column_a) && self.column_b.is_none_or(|b| set.contains(&b))
     }
 }
 
@@ -286,7 +294,16 @@ mod tests {
             normalized: 0.0,
         };
         assert!(c.within(&[0, 1, 4]));
+        assert!(c.within(&[4, 1]));
         assert!(!c.within(&[1, 2]));
+        assert!(!c.within(&[4]));
+        assert!(!c.within(&[]));
+        let uni = ZigComponent {
+            column_b: None,
+            ..c
+        };
+        assert!(uni.within(&[1]));
+        assert!(!uni.within(&[4]));
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub use component::{ComponentKind, ZigComponent};
 pub use config::{DependenceKind, ZiggyConfig};
 pub use error::ZiggyError;
 pub use explain::Explanation;
-pub use pipeline::{CachedReport, CharacterizeOutcome, ReportCache, ReportKey, ReuseLevel, Ziggy};
+pub use pipeline::{
+    CachedReport, CharacterizeOutcome, MaskMemo, ReportCache, ReportKey, ReuseLevel, Ziggy,
+};
 pub use report::{CharacterizationReport, StageTimings, View, ViewReport};
 pub use session::{diff_reports, ExplorationSession, ReportDiff};
 pub use weights::Weights;

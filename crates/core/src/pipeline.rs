@@ -16,6 +16,11 @@
 //!    selection — skips view search, post-processing, and serde
 //!    entirely; the serving layer answers it with memoized bytes and an
 //!    `ETag`, splicing the client's query label in at render time.
+//!
+//! In front of level 3, the [`MaskMemo`] maps the raw query text to its
+//! selection mask, so a repeated text skips predicate evaluation and
+//! goes straight to the report-cache probe. It is a lookup that finds
+//! level 3's key, not a [`ReuseLevel`] of its own.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,6 +56,15 @@ pub type ReportKey = (Bitmask, Arc<str>);
 /// The report cache: finished reports plus their serialized bytes,
 /// shared by all configuration forks of one engine.
 pub type ReportCache = KeyedCache<ReportKey, Arc<CachedReport>>;
+
+/// The predicate → mask memo: selection masks keyed by the *raw* query
+/// text, shared by all configuration forks of one engine (a mask does
+/// not depend on the configuration). Raw text is the key because it is
+/// collision-free by construction: two texts share an entry only when
+/// they are the same text. Different spellings of one selection get one
+/// entry each here and still meet in the report cache, whose key is the
+/// mask itself.
+pub type MaskMemo = KeyedCache<String, Arc<Bitmask>>;
 
 /// A finished characterization in both forms the system serves: the
 /// structured report and its canonical JSON bytes. The bytes are
@@ -224,6 +238,9 @@ pub struct Ziggy {
     /// Finished reports + serialized bytes, shared across configuration
     /// forks (the `Arc`), keyed by `(mask, canonical config)`.
     reports: Arc<ReportCache>,
+    /// Predicate text → mask, shared across configuration forks like
+    /// the report cache and sized and disabled by the same capacity.
+    masks: Arc<MaskMemo>,
 }
 
 // parking_lot re-export via ziggy-store's dependency is not public; the
@@ -259,6 +276,7 @@ impl Ziggy {
             // inside `KeyedCache::new` only keeps the structs well-formed.
             prepared: PreparedCache::new(config.prepared_cache_capacity),
             reports: Arc::new(ReportCache::new(config.report_cache_capacity)),
+            masks: Arc::new(MaskMemo::new(config.report_cache_capacity)),
             config_key: Arc::from(config.canonical_json()),
             config,
             graph: parking_lot::Mutex::new(None),
@@ -296,19 +314,25 @@ impl Ziggy {
         };
         // One report cache serves all forks (entries key on the config
         // fingerprint), so a repeated override request is as warm as a
-        // repeated default one. A changed capacity opts the fork out
-        // into its own cache — capacity is a property of the instance,
-        // not of an entry.
-        let reports = if config.report_cache_capacity == self.config.report_cache_capacity {
-            Arc::clone(&self.reports)
+        // repeated default one; the mask memo rides along (masks do not
+        // depend on the configuration at all). A changed capacity opts
+        // the fork out into caches of its own — capacity is a property
+        // of the instance, not of an entry.
+        let (reports, masks) = if config.report_cache_capacity == self.config.report_cache_capacity
+        {
+            (Arc::clone(&self.reports), Arc::clone(&self.masks))
         } else {
-            Arc::new(ReportCache::new(config.report_cache_capacity))
+            (
+                Arc::new(ReportCache::new(config.report_cache_capacity)),
+                Arc::new(MaskMemo::new(config.report_cache_capacity)),
+            )
         };
         Ziggy {
             table: Arc::clone(&self.table),
             cache: Arc::clone(&self.cache),
             prepared: PreparedCache::new(config.prepared_cache_capacity),
             reports,
+            masks,
             config_key: Arc::from(config.canonical_json()),
             config,
             graph: parking_lot::Mutex::new(graph),
@@ -348,6 +372,13 @@ impl Ziggy {
     /// the number of characterizations that skipped the pipeline).
     pub fn report_cache(&self) -> &ReportCache {
         &self.reports
+    }
+
+    /// The predicate → mask memo (shared across queries, clients, and
+    /// configuration forks of this engine; its misses count predicate
+    /// evaluations).
+    pub fn mask_memo(&self) -> &MaskMemo {
+        &self.masks
     }
 
     /// Whether the dependency graph is memoized (instrumentation).
@@ -416,20 +447,33 @@ impl Ziggy {
     /// Characterizes the result of a predicate query (parse + evaluate +
     /// [`Ziggy::characterize_mask`]).
     pub fn characterize(&self, query: &str) -> Result<CharacterizationReport> {
-        let expr = parse_predicate(query)?;
-        let mask = eval::evaluate_with(&expr, &self.table, Some(self.cache.zone_maps().as_ref()))?;
+        let mask = self.mask_for(query)?;
         self.characterize_mask(&mask, query)
     }
 
     /// Cache-aware characterization of a predicate query: returns the
     /// shared [`CachedReport`] (report + serialized bytes + fingerprint)
     /// and whether this call actually ran the pipeline. The serving
-    /// layer's fast path — a repeated query costs one parse, one
-    /// predicate evaluation, and a cache probe.
+    /// layer's fast path — a repeated query text costs one parse, a mask
+    /// memo probe, and a report cache probe.
     pub fn characterize_cached(&self, query: &str) -> Result<CharacterizeOutcome> {
-        let expr = parse_predicate(query)?;
-        let mask = eval::evaluate_with(&expr, &self.table, Some(self.cache.zone_maps().as_ref()))?;
+        let mask = self.mask_for(query)?;
         self.characterize_mask_cached(&mask, query)
+    }
+
+    /// The selection mask of predicate `query`. The text is parsed on
+    /// every call, so a malformed query fails before it reaches the
+    /// memo; evaluation runs once per distinct text on this engine.
+    fn mask_for(&self, query: &str) -> Result<Arc<Bitmask>> {
+        let expr = parse_predicate(query)?;
+        let evaluate = || {
+            eval::evaluate_with(&expr, &self.table, Some(self.cache.zone_maps().as_ref()))
+                .map(Arc::new)
+        };
+        if self.config.report_cache_capacity == 0 {
+            return Ok(evaluate()?);
+        }
+        Ok(self.masks.get_or_build(&query.to_string(), evaluate)?)
     }
 
     /// Validation + degeneracy checks shared by every characterize entry
@@ -1089,6 +1133,63 @@ mod tests {
         // The prepared level still absorbs the repeat.
         let p = z.prepared_cache().counters();
         assert_eq!((p.hits, p.misses), (1, 1), "{p:?}");
+        // The mask memo shares the report cache's capacity, so it is
+        // disabled too: every call evaluates, nothing is kept.
+        z.characterize("crime >= 50").unwrap();
+        let m = z.mask_memo().counters();
+        assert_eq!((m.hits, m.misses), (0, 0), "disabled memo is untouched");
+        assert!(z.mask_memo().is_empty());
+    }
+
+    #[test]
+    fn mask_memo_evaluates_each_query_text_once() {
+        let t = crime_like();
+        let z = Ziggy::new(&t, ZiggyConfig::default());
+        z.characterize_cached("crime >= 50").unwrap();
+        let zones = z.cache().zone_maps().counters();
+        z.characterize_cached("crime >= 50").unwrap();
+        z.characterize("crime >= 50").unwrap();
+        let m = z.mask_memo().counters();
+        assert_eq!((m.hits, m.misses), (2, 1), "{m:?}");
+        // A hit does not evaluate: the zone maps see no new chunk.
+        assert_eq!(z.cache().zone_maps().counters(), zones);
+        // The memo keys on the raw text, so a respelling is a miss of
+        // its own — and still a report-cache hit through its mask.
+        let respelled = z.characterize_cached("NOT crime < 50").unwrap();
+        assert_eq!(respelled.reuse, ReuseLevel::Report);
+        assert_eq!(z.mask_memo().counters().misses, 2);
+        assert_eq!(z.mask_memo().len(), 2);
+        // Parse errors fail before the memo; evaluation errors are not
+        // kept.
+        assert!(z.characterize_cached("crime >>> 1").is_err());
+        assert_eq!(z.mask_memo().counters().misses, 2);
+        assert!(z.characterize_cached("nope > 1").is_err());
+        assert!(z.characterize_cached("nope > 1").is_err());
+        assert_eq!(z.mask_memo().counters().misses, 4);
+        assert_eq!(z.mask_memo().len(), 2);
+    }
+
+    #[test]
+    fn config_forks_share_the_mask_memo() {
+        let t = crime_like();
+        let z = Ziggy::new(&t, ZiggyConfig::default());
+        z.characterize_cached("crime >= 50").unwrap();
+        let fork = z.with_config(ZiggyConfig {
+            max_views: 2,
+            ..Default::default()
+        });
+        let forked = fork.characterize_cached("crime >= 50").unwrap();
+        assert!(forked.fresh, "a new configuration builds its own report");
+        let m = z.mask_memo().counters();
+        assert_eq!((m.hits, m.misses), (1, 1), "the fork hit the parent's mask");
+        assert!(std::ptr::eq(z.mask_memo(), fork.mask_memo()));
+        // A fork with its own capacity gets its own memo, like its own
+        // report cache.
+        let sized = z.with_config(ZiggyConfig {
+            report_cache_capacity: 4,
+            ..Default::default()
+        });
+        assert!(sized.mask_memo().is_empty());
     }
 
     #[test]

@@ -73,13 +73,36 @@ impl PreparedStats {
     }
 
     /// Components whose columns all lie inside `view` (the inputs to the
-    /// view's Zig-Dissimilarity).
+    /// view's Zig-Dissimilarity), in component order.
+    ///
+    /// Looked up in the index — each view column's one-column families
+    /// and each unordered pair's correlation — rather than scanning every
+    /// component, so the cost is O(|view|²) lookups however many
+    /// components the table has. Hits are returned in ascending component
+    /// position, which is exactly the order of filtering `components()`
+    /// with [`ZigComponent::within`]: the floating-point sums over them
+    /// and the report bytes built from them do not depend on the lookup.
     pub fn components_for_view(&self, view: &[usize]) -> Vec<&ZigComponent> {
-        self.components.iter().filter(|c| c.within(view)).collect()
+        let mut hits: Vec<usize> = Vec::new();
+        for (i, &a) in view.iter().enumerate() {
+            for kind in ComponentKind::UNIVARIATE {
+                hits.extend(self.index.get(&(kind, a, NO_COLUMN)));
+            }
+            for &b in &view[i + 1..] {
+                let key = (ComponentKind::CorrelationShift, a.min(b), a.max(b));
+                hits.extend(self.index.get(&key));
+            }
+        }
+        hits.sort_unstable();
+        // A view that repeats a column would look its components up twice.
+        hits.dedup();
+        hits.into_iter().map(|i| &self.components[i]).collect()
     }
 }
 
-/// Runs the preparation stage over the selection `mask`.
+/// Runs the preparation stage over the selection `mask`. `usable` lists
+/// distinct columns (the dependency graph's), so every component has its
+/// own index key.
 pub fn prepare(
     cache: &StatsCache,
     mask: &Bitmask,
@@ -274,6 +297,10 @@ mod tests {
     /// changed correlation on (`cx`, `cy`), different category mix on
     /// `cat`).
     fn sample() -> Table {
+        sample_builder().build().unwrap()
+    }
+
+    fn sample_builder() -> TableBuilder {
         let n = 400usize;
         let sel = |i: usize| i >= 300;
         let mut b = TableBuilder::new();
@@ -317,7 +344,7 @@ mod tests {
                 })
                 .collect(),
         );
-        b.build().unwrap()
+        b
     }
 
     fn prep(table: &Table, query: &str, config: &ZiggyConfig) -> PreparedStats {
@@ -454,6 +481,92 @@ mod tests {
         // 2 mean + 2 dispersion + 1 correlation = 5 components at most.
         assert!(comps.len() <= 5 && comps.len() >= 3);
         assert!(comps.iter().all(|c| c.within(&view)));
+    }
+
+    /// Every view of one to three columns over `n_cols` columns, each in
+    /// sorted and in reversed order, plus the empty view and views that
+    /// repeat a column.
+    fn all_small_views(n_cols: usize) -> Vec<Vec<usize>> {
+        let mut views = vec![vec![], vec![0, 0], vec![1, 2, 1]];
+        for a in 0..n_cols {
+            views.push(vec![a]);
+            for b in a + 1..n_cols {
+                views.push(vec![a, b]);
+                views.push(vec![b, a]);
+                for c in b + 1..n_cols {
+                    views.push(vec![a, b, c]);
+                    views.push(vec![c, a, b]);
+                    views.push(vec![c, b, a]);
+                }
+            }
+        }
+        views
+    }
+
+    #[test]
+    fn components_for_view_lookup_matches_the_scan() {
+        // The index lookup must return exactly what filtering every
+        // component with `within` returns — the same components, in the
+        // same order — so scores and report bytes cannot move.
+        let mut b = sample_builder();
+        // A second categorical column and a numeric column with NULLs.
+        b.add_categorical(
+            "region",
+            (0..400).map(|i| Some(["n", "s"][(i / 7) % 2])).collect(),
+        );
+        b.add_numeric(
+            "gappy",
+            (0..400)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        f64::NAN
+                    } else {
+                        ((i * 13) % 29) as f64
+                    }
+                })
+                .collect(),
+        );
+        let t = b.build().unwrap();
+        let configs = [
+            ZiggyConfig::default(),
+            ZiggyConfig {
+                extended_components: true,
+                ..ZiggyConfig::default()
+            },
+            ZiggyConfig {
+                max_view_size: 3,
+                ..ZiggyConfig::default()
+            },
+        ];
+        for config in &configs {
+            let p = prep(&t, "key >= 300", config);
+            let kinds: std::collections::HashSet<_> =
+                p.components().iter().map(|c| c.kind).collect();
+            assert!(kinds.contains(&ComponentKind::FrequencyShift));
+            assert!(kinds.contains(&ComponentKind::CorrelationShift));
+            assert_eq!(
+                kinds.contains(&ComponentKind::ShapeShift),
+                config.extended_components
+            );
+            for view in all_small_views(t.n_cols()) {
+                let scan: Vec<&ZigComponent> =
+                    p.components().iter().filter(|c| c.within(&view)).collect();
+                let lookup = p.components_for_view(&view);
+                assert_eq!(lookup.len(), scan.len(), "view {view:?}");
+                for (l, s) in lookup.iter().zip(&scan) {
+                    assert!(
+                        std::ptr::eq(*l, *s),
+                        "view {view:?}: order or identity drift"
+                    );
+                }
+                let scan_score: f64 = scan
+                    .iter()
+                    .map(|c| config.weights.for_kind(c.kind) * c.normalized)
+                    .sum();
+                let score = crate::dissimilarity::view_score(&view, &p, &config.weights);
+                assert_eq!(score.to_bits(), scan_score.to_bits(), "view {view:?}");
+            }
+        }
     }
 
     #[test]

@@ -532,10 +532,10 @@ fn find_or_push<T>(
 
 /// One table's values of a family with a second label, as `(label
 /// value, value)`; `None` values are left out.
-type TableValues = [(&'static str, Option<u64>); 3];
+type TableValues<const N: usize> = [(&'static str, Option<u64>); N];
 
 /// Rows for a per-table family with a second label.
-fn per_table(s: &ServeState, read: fn(&TableEntry) -> TableValues) -> Rows {
+fn per_table<const N: usize>(s: &ServeState, read: fn(&TableEntry) -> TableValues<N>) -> Rows {
     let mut rows = Vec::new();
     for e in s.registry.entries() {
         for (label, value) in read(&e) {
@@ -547,28 +547,38 @@ fn per_table(s: &ServeState, read: fn(&TableEntry) -> TableValues) -> Rows {
     rows
 }
 
-/// One column of a table's three reuse levels: `stats` is the
-/// whole-table moment/frequency cache, `prepared` the per-query
+/// One column of a table's caches: the three reuse levels — `stats`
+/// is the whole-table moment/frequency cache, `prepared` the per-query
 /// `PreparedStats` cache (its misses count how often preparation ran),
 /// `report` the finished-report cache (its hits skipped search,
-/// post-processing and serialization). Columns: hits, misses,
-/// evictions (none for `stats`), entries.
-fn level(e: &TableEntry, column: usize) -> TableValues {
-    let (prepared, reports) = (e.engine().prepared_cache(), e.engine().report_cache());
-    let (s, p, r) = (
+/// post-processing and serialization) — and `mask`, the predicate →
+/// mask memo in front of the report cache (its misses count predicate
+/// evaluations). Columns: hits, misses, evictions (none for `stats`),
+/// entries.
+fn level(e: &TableEntry, column: usize) -> TableValues<4> {
+    let engine = e.engine();
+    let (prepared, reports, masks) = (
+        engine.prepared_cache(),
+        engine.report_cache(),
+        engine.mask_memo(),
+    );
+    let (s, p, r, m) = (
         e.cache().counters(),
         prepared.counters(),
         reports.counters(),
+        masks.counters(),
     );
     let (uni, pair, freq) = e.cache().sizes();
     let stats = [s.hits, s.misses, 0, (uni + pair + freq) as u64];
     let p = [p.hits, p.misses, p.evictions, prepared.len() as u64];
     let r = [r.hits, r.misses, r.evictions, reports.len() as u64];
+    let m = [m.hits, m.misses, m.evictions, masks.len() as u64];
     let stats = (column != EVICTIONS).then_some(stats[column]);
     [
         ("stats", stats),
         ("prepared", Some(p[column])),
         ("report", Some(r[column])),
+        ("mask", Some(m[column])),
     ]
 }
 
@@ -578,7 +588,7 @@ const EVICTIONS: usize = 2;
 const ENTRIES: usize = 3;
 
 /// JSON keys of the reuse levels.
-const LEVEL_KEYS: &[(&str, &str)] = &[("stats", "cache"), ("report", "reports")];
+const LEVEL_KEYS: &[(&str, &str)] = &[("stats", "cache"), ("report", "reports"), ("mask", "masks")];
 
 fn wal(s: &ServeState, read: fn(&DurableLog) -> Sample) -> Rows {
     s.registry

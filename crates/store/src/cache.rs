@@ -517,7 +517,7 @@ struct KeyedEntry<V> {
 /// A bounded, thread-safe LRU once-cache of derived artifacts, generic
 /// over the key.
 ///
-/// Two instantiations power the reuse ladder above [`StatsCache`]'s
+/// Three instantiations power the reuse ladder above [`StatsCache`]'s
 /// whole-table moments:
 ///
 /// * [`PreparedCache`] (keyed by the selection [`Bitmask`]) removes the
@@ -526,10 +526,13 @@ struct KeyedEntry<V> {
 ///   sessions, and HTTP clients issuing the same predicate — byte-equal
 ///   or not, masks are compared by *rows selected* — skip preparation
 ///   entirely.
-/// * `ziggy-core`'s report cache (keyed by mask + configuration
-///   fingerprint + query label) removes *everything* from a repeated
-///   query: view search, post-processing, and report serialization are
-///   all served from one memoized `CachedReport`.
+/// * `ziggy-core`'s report cache (keyed by mask + canonical
+///   configuration) removes *everything* from a repeated query: view
+///   search, post-processing, and report serialization are all served
+///   from one memoized `CachedReport`.
+/// * `ziggy-core`'s mask memo (keyed by the raw query text) removes
+///   predicate evaluation from a repeated query text, in front of the
+///   report cache.
 ///
 /// Keys hash however the key type hashes ([`Bitmask`] hashes by
 /// [`Bitmask::fingerprint`]) but are confirmed by full `Eq`, so hash

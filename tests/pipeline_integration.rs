@@ -197,3 +197,54 @@ fn interface_snapshot_renders_from_facade() {
     assert!(ui.contains("VIEWS"));
     assert!(ui.contains("EXPLANATIONS"));
 }
+
+/// Report bytes are a pure function of (table, configuration, mask), so
+/// their `ETag`s can be pinned: a change to search, scoring or
+/// post-processing that moves one byte of a report fails here. A change
+/// that moves report bytes on purpose updates these constants in the
+/// same commit and says why.
+#[test]
+fn crime_twin_etags_are_pinned() {
+    let d = ziggy_synth::us_crime(7);
+    let base = Ziggy::new(&d.table, ZiggyConfig::default());
+    let view3 = base.with_config(ZiggyConfig {
+        max_view_size: 3,
+        ..ZiggyConfig::default()
+    });
+    let extended = base.with_config(ZiggyConfig {
+        extended_components: true,
+        ..ZiggyConfig::default()
+    });
+    let cases: [(&Ziggy, &str, &str); 6] = [
+        (&base, d.predicate.as_str(), "\"a151f388ade2771a\""),
+        (
+            &base,
+            "community_type = 'urban' AND census_region IN ('south', 'west')",
+            "\"0514a33c9dd2d4a8\"",
+        ),
+        (
+            &base,
+            "population_density > 64 OR pct_boarded_windows > 72",
+            "\"16dc6cbefabe45e3\"",
+        ),
+        (
+            &base,
+            "NOT census_region = 'midwest' AND average_rent < 188",
+            "\"7543cc771f6a090e\"",
+        ),
+        (&view3, d.predicate.as_str(), "\"9648b3c33ddcd912\""),
+        (
+            &extended,
+            "pct_college_educated BETWEEN 20 AND 30",
+            "\"f5862846549839cd\"",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (engine, query, _) in &cases {
+        let cached = engine.characterize_cached(query).unwrap().cached;
+        assert!(!cached.report.views.is_empty(), "{query}: no views to pin");
+        got.push(cached.etag());
+    }
+    let want: Vec<String> = cases.iter().map(|(_, _, tag)| tag.to_string()).collect();
+    assert_eq!(got, want, "report bytes moved");
+}

@@ -269,6 +269,10 @@ fn report_counters(addr: std::net::SocketAddr, name: &str) -> (u64, u64, u64) {
     level_counters(addr, name, "reports")
 }
 
+fn mask_counters(addr: std::net::SocketAddr, name: &str) -> (u64, u64, u64) {
+    level_counters(addr, name, "masks")
+}
+
 #[test]
 fn prepared_stats_build_once_per_predicate_across_clients() {
     // A table whose selections we control exactly: key = 0..400.
@@ -429,6 +433,8 @@ fn respelled_predicates_share_one_cached_build_and_etag() {
     assert_eq!((hits, misses, entries), (1, 1, 1));
     let (_, prepared_misses, _) = prepared_counters(addr, "r");
     assert_eq!(prepared_misses, 1, "one prepared build for both spellings");
+    // The mask memo keys on the text: each spelling evaluated once.
+    assert_eq!(mask_counters(addr, "r"), (0, 2, 2));
 
     // A conditional respelled request revalidates against the other
     // spelling's tag.
@@ -442,6 +448,64 @@ fn respelled_predicates_share_one_cached_build_and_etag() {
         .unwrap();
     assert_eq!(status, 304, "{not_modified}");
     assert!(not_modified.is_empty());
+    assert_eq!(
+        mask_counters(addr, "r"),
+        (1, 2, 2),
+        "the repeat hit the memo"
+    );
+
+    server.shutdown();
+}
+
+#[test]
+fn append_starts_a_fresh_mask_memo() {
+    // A memo entry describes the table it was evaluated on: after an
+    // append, the same predicate text must select the new rows too.
+    let mut csv = String::from("x,y\n");
+    for i in 0..400 {
+        csv.push_str(&format!("{},{}\n", i % 11, (i * 7919) % 31));
+    }
+    let server = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    let body = json_body(&[("name", "m"), ("csv", &csv)]);
+    let (status, resp) = request_once(addr, "POST", "/tables", Some(&body)).unwrap();
+    assert_eq!(status, 201, "{resp}");
+
+    let mut client = Client::connect(addr).unwrap();
+    let query = json_body(&[("query", "x > 5")]);
+    let characterize = |client: &mut Client| {
+        let (status, headers, body) = client
+            .request_with_headers("POST", "/tables/m/characterize", &[], Some(&query))
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        let etag = headers
+            .iter()
+            .find(|(k, _)| k == "etag")
+            .map(|(_, v)| v.clone())
+            .unwrap();
+        let report: CharacterizationReport = serde_json::from_str(&body).unwrap();
+        (report.n_inside, etag)
+    };
+    let (before, etag_before) = characterize(&mut client);
+    assert_eq!(characterize(&mut client), (before, etag_before.clone()));
+    assert_eq!(mask_counters(addr, "m"), (1, 1, 1));
+
+    let mut rows = String::new();
+    for i in 0..40 {
+        rows.push_str(&format!("{},{}\n", 6 + i % 5, i));
+    }
+    let append = json_body(&[("rows", &rows)]);
+    let (status, resp) = request_once(addr, "POST", "/tables/m/rows", Some(&append)).unwrap();
+    assert_eq!(status, 200, "{resp}");
+
+    let (after, etag_after) = characterize(&mut client);
+    assert_eq!(after, before + 40, "the appended rows are selected");
+    assert_ne!(etag_after, etag_before);
+    assert_eq!(
+        mask_counters(addr, "m"),
+        (0, 1, 1),
+        "a new engine, a new memo"
+    );
 
     server.shutdown();
 }
