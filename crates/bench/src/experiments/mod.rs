@@ -1,4 +1,4 @@
-//! One module per paper exhibit (DESIGN.md §4 maps exhibit → module).
+//! One module per paper exhibit (`src/bin/run_all.rs` lists every exhibit).
 
 pub mod ablation;
 pub mod fig1;

@@ -1,14 +1,13 @@
 #![warn(missing_docs)]
 
 //! Benchmark harness regenerating every figure and table of the Ziggy
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper (`src/bin/run_all.rs` lists every exhibit).
 //!
 //! Each experiment is a library function returning a printable report, so
 //! the `src/bin/*` wrappers stay thin and integration tests can execute
-//! scaled-down variants. Criterion micro/meso benchmarks live under
-//! `benches/`.
+//! scaled-down variants.
 
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{format_duration_us, host_cpus, host_json, host_parallelism, MarkdownTable};
+pub use harness::{format_duration_us, host_json, MarkdownTable};

@@ -264,7 +264,8 @@ impl ZoneMaps {
 
     /// `(skipped, filled, scanned)` chunk counters across all
     /// evaluations so far — the observable proof that summary-based
-    /// skipping is engaged (the bench asserts on it).
+    /// skipping is engaged (`tests/serve_integration.rs` asserts on it
+    /// through the served path).
     pub fn counters(&self) -> (u64, u64, u64) {
         (
             self.chunks_skipped.load(Ordering::Relaxed),

@@ -7,10 +7,14 @@
 //!    same way `serve_integration` does);
 //! 2. requests keep succeeding after one replica *process* is killed;
 //! 3. scatter-gather (`GET /tables`, `GET /metrics`) merges per-shard
-//!    sections into one document.
+//!    sections into one document;
+//! 4. membership churn (a join and a drain mid-traffic) is invisible to
+//!    clients, and the router keeps a warm-read throughput floor.
 
+use std::net::SocketAddr;
 use std::path::Path;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 use ziggy::core::{CharacterizationReport, StageTimings, Ziggy, ZiggyConfig};
 use ziggy::fleet::{start_fleet, BackendProcess, FleetOptions};
@@ -47,7 +51,6 @@ fn canonical(report_json: &str) -> String {
 
 #[test]
 fn fleet_of_processes_matches_single_node_and_survives_a_kill() {
-    let binary = Path::new(env!("CARGO_BIN_EXE_ziggy"));
     let twin = ziggy::synth::box_office(7);
     let csv = write_csv_string(&twin.table, ',');
     let query = twin.predicate.clone();
@@ -63,16 +66,7 @@ fn fleet_of_processes_matches_single_node_and_survives_a_kill() {
     };
 
     // 4 real ziggy-serve processes.
-    let mut children: Vec<BackendProcess> = (0..BACKENDS)
-        .map(|i| {
-            BackendProcess::spawn(binary, format!("shard-{i}"), &[])
-                .expect("backend process must start")
-        })
-        .collect();
-    let addrs = children
-        .iter()
-        .map(|c| (c.id().to_string(), c.addr()))
-        .collect();
+    let (mut children, addrs) = spawn_backends(BACKENDS);
     let fleet = start_fleet(
         "127.0.0.1:0",
         addrs,
@@ -252,13 +246,7 @@ fn chaos_kill_mid_traffic_repairs_and_rejoins() {
     let csv = write_csv_string(&twin.table, ',');
     let query_body = json_body(&[("query", &twin.predicate)]);
 
-    let mut children: Vec<BackendProcess> = (0..4)
-        .map(|i| BackendProcess::spawn(binary, format!("shard-{i}"), &[]).unwrap())
-        .collect();
-    let addrs = children
-        .iter()
-        .map(|c| (c.id().to_string(), c.addr()))
-        .collect();
+    let (mut children, addrs) = spawn_backends(4);
     let fleet = start_fleet(
         "127.0.0.1:0",
         addrs,
@@ -347,7 +335,12 @@ fn chaos_kill_mid_traffic_repairs_and_rejoins() {
 
     // The repair loop restores R *live* replicas (the dead process's
     // copy no longer answers; a healthy backend received a new one).
-    wait_for_replicas(router, "boxoffice", REPLICATION as u64);
+    wait_for_replicas(
+        router,
+        "boxoffice",
+        REPLICATION as u64,
+        Duration::from_secs(20),
+    );
     assert!(fleet.state().metrics.repairs_total.get() >= 1);
 
     // Byte identity and revalidation across the repaired copy: every
@@ -406,9 +399,9 @@ fn chaos_kill_mid_traffic_repairs_and_rejoins() {
 }
 
 /// Polls the router's scatter-gathered listing until `table` reports at
-/// least `want` live replicas.
-fn wait_for_replicas(router: std::net::SocketAddr, table: &str, want: u64) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+/// least `want` live replicas, failing after `timeout`.
+fn wait_for_replicas(router: SocketAddr, table: &str, want: u64, timeout: Duration) {
+    let deadline = Instant::now() + timeout;
     loop {
         let (status, listing) = request_once(router, "GET", "/tables", None).unwrap();
         assert_eq!(status, 200);
@@ -586,14 +579,7 @@ fn wait_for_trace_line(path: &Path, trace: &str) -> serde_json::Value {
 /// `/debug/traces` listing schema and its filters.
 #[test]
 fn one_trace_id_assembles_router_and_backend_spans() {
-    let binary = Path::new(env!("CARGO_BIN_EXE_ziggy"));
-    let children: Vec<BackendProcess> = (0..2)
-        .map(|i| BackendProcess::spawn(binary, format!("shard-{i}"), &[]).unwrap())
-        .collect();
-    let addrs = children
-        .iter()
-        .map(|c| (c.id().to_string(), c.addr()))
-        .collect();
+    let (children, addrs) = spawn_backends(2);
     let fleet = start_fleet(
         "127.0.0.1:0",
         addrs,
@@ -752,14 +738,7 @@ fn one_trace_id_assembles_router_and_backend_spans() {
 
 #[test]
 fn replicated_ingest_is_idempotent_across_retries() {
-    let binary = Path::new(env!("CARGO_BIN_EXE_ziggy"));
-    let children: Vec<BackendProcess> = (0..2)
-        .map(|i| BackendProcess::spawn(binary, format!("shard-{i}"), &[]).unwrap())
-        .collect();
-    let addrs = children
-        .iter()
-        .map(|c| (c.id().to_string(), c.addr()))
-        .collect();
+    let (_children, addrs) = spawn_backends(2);
     let fleet = start_fleet(
         "127.0.0.1:0",
         addrs,
@@ -795,4 +774,189 @@ fn replicated_ingest_is_idempotent_across_retries() {
     assert_eq!(status, 409, "{resp}");
 
     fleet.shutdown();
+}
+
+/// Spawns `n` `ziggy serve` processes with ids `shard-0..n`, returning
+/// them with their `(id, addr)` membership list.
+fn spawn_backends(n: usize) -> (Vec<BackendProcess>, Vec<(String, SocketAddr)>) {
+    let binary = Path::new(env!("CARGO_BIN_EXE_ziggy"));
+    let children: Vec<BackendProcess> = (0..n)
+        .map(|i| BackendProcess::spawn(binary, format!("shard-{i}"), &[]).unwrap())
+        .collect();
+    let addrs = children
+        .iter()
+        .map(|c| (c.id().to_string(), c.addr()))
+        .collect();
+    (children, addrs)
+}
+
+/// The crime twin (1994×128) as a `POST /tables` body named `crime`,
+/// plus the body of its suggested characterize query.
+fn crime_bodies() -> (String, String) {
+    let twin = ziggy::synth::us_crime(7);
+    let csv = write_csv_string(&twin.table, ',');
+    (
+        json_body(&[("name", "crime"), ("csv", &csv)]),
+        json_body(&[("query", &twin.predicate)]),
+    )
+}
+
+/// Membership churn is invisible to clients: with live traffic from 4
+/// clients over 2 backends (R = 2), a spare backend joins the ring
+/// (`POST /admin/backends`) and then an original holder is drained out
+/// (`DELETE /admin/backends/{id}`). Every response must be a 200 (a
+/// rate-limit 429 would be client pushback, not a failure), and the
+/// repair loop must restore R live replicas among the post-churn
+/// members within 30 s.
+#[test]
+fn membership_churn_mid_traffic_fails_no_request_and_converges() {
+    let (_children, mut addrs) = spawn_backends(3);
+    let (spare_id, spare_addr) = addrs.pop().unwrap();
+    let replication = 2;
+    let fleet = start_fleet(
+        "127.0.0.1:0",
+        addrs.clone(),
+        FleetOptions {
+            replication,
+            probe_interval: Duration::from_millis(100),
+            repair_interval: Some(Duration::from_millis(150)),
+            ..FleetOptions::default()
+        },
+    )
+    .unwrap();
+    let router = fleet.local_addr();
+
+    let (ingest_body, query_body) = crime_bodies();
+    let (status, resp) = request_once(router, "POST", "/tables", Some(&ingest_body)).unwrap();
+    assert_eq!(status, 201, "{resp}");
+    // The churn drains a member that holds the table.
+    let holder = addrs
+        .iter()
+        .find(|(_, addr)| {
+            let (s, listing) = request_once(*addr, "GET", "/tables", None).unwrap();
+            s == 200 && listing.contains("\"crime\"")
+        })
+        .expect("a member holds the table")
+        .0
+        .clone();
+
+    let spare_join = json_body(&[("id", &spare_id), ("addr", &spare_addr.to_string())]);
+    let stop = AtomicBool::new(false);
+    let (requests, failed) = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let (mut requests, mut failed) = (0usize, Vec::new());
+                    let mut client = Client::connect(router).unwrap();
+                    while !stop.load(Ordering::Relaxed) {
+                        let (status, body) = client
+                            .request("POST", "/tables/crime/characterize", Some(&query_body))
+                            .unwrap();
+                        requests += 1;
+                        if status != 200 && status != 429 {
+                            failed.push((status, body));
+                        }
+                    }
+                    (requests, failed)
+                })
+            })
+            .collect();
+        // Mid-traffic: grow the ring, then drain a holder out of it.
+        std::thread::sleep(Duration::from_millis(200));
+        let (status, resp) =
+            request_once(router, "POST", "/admin/backends", Some(&spare_join)).unwrap();
+        assert_eq!(status, 201, "join mid-traffic: {resp}");
+        std::thread::sleep(Duration::from_millis(400));
+        let (status, resp) =
+            request_once(router, "DELETE", &format!("/admin/backends/{holder}"), None).unwrap();
+        assert_eq!(status, 200, "drain mid-traffic: {resp}");
+        std::thread::sleep(Duration::from_millis(400));
+        stop.store(true, Ordering::Relaxed);
+        let (mut requests, mut failed) = (0, Vec::new());
+        for w in workers {
+            let (r, f) = w.join().unwrap();
+            requests += r;
+            failed.extend(f);
+        }
+        (requests, failed)
+    });
+    assert!(
+        failed.is_empty(),
+        "membership churn must be invisible to clients: {}/{requests} failed, first: {:?}",
+        failed.len(),
+        failed.first()
+    );
+
+    // Convergence: the repair loop restores R live replicas.
+    wait_for_replicas(router, "crime", replication as u64, Duration::from_secs(30));
+
+    fleet.shutdown();
+}
+
+/// A router-throughput floor: the crime twin fully replicated over sets
+/// of 1 and 2 backend processes, 4 clients × 4 warm characterize
+/// requests each, and the best set must reach 300 req/s. The floor is
+/// deliberately conservative (shared CI hosts, a tiny request count,
+/// debug builds reach it more than tenfold): it exists to catch a
+/// regression back to a blocking data plane or a Nagle-delayed hop,
+/// both of which land orders of magnitude below it, not to benchmark
+/// the runner.
+#[test]
+fn router_sustains_a_warm_throughput_floor() {
+    const CLIENTS: usize = 4;
+    const REQUESTS_PER_CLIENT: usize = 4;
+    const MIN_RPS: f64 = 300.0;
+    let (ingest_body, query_body) = crime_bodies();
+    let rates: Vec<f64> = [1, 2]
+        .into_iter()
+        .map(|n| {
+            let (_children, addrs) = spawn_backends(n);
+            let fleet = start_fleet(
+                "127.0.0.1:0",
+                addrs,
+                FleetOptions {
+                    // Full replication: every backend serves the table.
+                    replication: n,
+                    probe_interval: Duration::from_millis(500),
+                    ..FleetOptions::default()
+                },
+            )
+            .unwrap();
+            let router = fleet.local_addr();
+            let (status, resp) =
+                request_once(router, "POST", "/tables", Some(&ingest_body)).unwrap();
+            assert_eq!(status, 201, "{resp}");
+            // Reads rotate over the replicas, so 2N requests warm each
+            // backend's caches off the clock.
+            let mut warm = Client::connect(router).unwrap();
+            for _ in 0..2 * n {
+                let (status, body) = warm
+                    .request("POST", "/tables/crime/characterize", Some(&query_body))
+                    .unwrap();
+                assert_eq!(status, 200, "{body}");
+            }
+            let t = Instant::now();
+            std::thread::scope(|s| {
+                for _ in 0..CLIENTS {
+                    s.spawn(|| {
+                        let mut client = Client::connect(router).unwrap();
+                        for _ in 0..REQUESTS_PER_CLIENT {
+                            let (status, body) = client
+                                .request("POST", "/tables/crime/characterize", Some(&query_body))
+                                .unwrap();
+                            assert_eq!(status, 200, "{body}");
+                        }
+                    });
+                }
+            });
+            let rps = (CLIENTS * REQUESTS_PER_CLIENT) as f64 / t.elapsed().as_secs_f64();
+            fleet.shutdown();
+            rps
+        })
+        .collect();
+    let best = rates.iter().copied().fold(0.0, f64::max);
+    assert!(
+        best >= MIN_RPS,
+        "router warm throughput {best:.1} req/s (per set {rates:?}) is below {MIN_RPS} req/s"
+    );
 }

@@ -9,6 +9,7 @@ use ziggy::core::{CharacterizationReport, StageTimings, Ziggy, ZiggyConfig};
 use ziggy::serve::http::{request_once, Client};
 use ziggy::serve::{serve, ServeOptions};
 use ziggy::store::csv::{read_csv_str, write_csv_string, CsvOptions};
+use ziggy::store::{Table, TableBuilder, CHUNK_ROWS};
 
 const CONCURRENT_CLIENTS: usize = 8;
 
@@ -239,20 +240,25 @@ fn concurrent_ingest_and_sessions() {
     server.shutdown();
 }
 
-/// Reads a cache-level counter object (`prepared` or `reports`) for
-/// table `name` out of a `/metrics` body as `(hits, misses, entries)`.
-fn level_counters(addr: std::net::SocketAddr, name: &str, level: &str) -> (u64, u64, u64) {
+/// Table `name`'s section of the `/metrics` JSON document.
+fn table_metrics(addr: std::net::SocketAddr, name: &str) -> serde_json::Value {
     let (status, metrics) = request_once(addr, "GET", "/metrics", None).unwrap();
     assert_eq!(status, 200);
     let m = serde_json::from_str::<serde_json::Value>(&metrics).unwrap();
-    let table = m
-        .get("tables")
+    m.get("tables")
         .unwrap()
         .as_array()
         .unwrap()
         .iter()
         .find(|t| t.get("name").unwrap().as_str() == Some(name))
-        .expect("table present in /metrics");
+        .expect("table present in /metrics")
+        .clone()
+}
+
+/// Reads a cache-level counter object (`prepared` or `reports`) for
+/// table `name` out of a `/metrics` body as `(hits, misses, entries)`.
+fn level_counters(addr: std::net::SocketAddr, name: &str, level: &str) -> (u64, u64, u64) {
+    let table = table_metrics(addr, name);
     let p = table.get(level).unwrap();
     (
         p.get("hits").unwrap().as_u64().unwrap(),
@@ -510,6 +516,10 @@ fn append_starts_a_fresh_mask_memo() {
     server.shutdown();
 }
 
+/// Pins the warm fast path: a repeated query is answered from the
+/// report cache (`(hits, misses) == (2, 1)` after one cold request, one
+/// unconditional repeat and one `If-None-Match` repeat), with the same
+/// bytes and ETag every time.
 #[test]
 fn warm_repeats_are_byte_identical_with_etag_revalidation() {
     let (csv, query) = twin_csv_and_query();
@@ -576,6 +586,58 @@ fn warm_repeats_are_byte_identical_with_etag_revalidation() {
     assert_eq!(canonical(&fresh), canonical(&first));
     let (hits, misses, _) = report_counters(addr, "w");
     assert_eq!((hits, misses), (0, 1), "fresh engine, fresh cache");
+
+    server.shutdown();
+}
+
+/// The scaling twin plus a clustered `event_time` column (the row
+/// index): real tables almost always carry an ingest-ordered timestamp,
+/// and it is exactly the shape zone maps exploit.
+fn with_event_time(twin: &Table) -> Table {
+    let mut b = TableBuilder::new();
+    b.add_numeric("event_time", (0..twin.n_rows()).map(|i| i as f64).collect());
+    for c in 0..twin.n_cols() {
+        b.add_numeric(
+            twin.name(c),
+            twin.numeric(c).expect("scaling twins are numeric").to_vec(),
+        );
+    }
+    b.build().unwrap()
+}
+
+/// Pins the chunked data plane through the served path: on a two-chunk
+/// table a clustered, chunk-aligned predicate must fill the first chunk
+/// (every `event_time` in it is below the cut) and skip the second
+/// (every value is at or above it) from the per-chunk summaries alone,
+/// and `/metrics` must show both.
+#[test]
+fn clustered_zone_query_skips_and_fills_chunks_through_the_server() {
+    let twin = ziggy::synth::scaling_dataset(100_000, 16, 7);
+    let table = with_event_time(&twin.table);
+    assert!(
+        table.n_rows() > CHUNK_ROWS,
+        "the table must span two chunks"
+    );
+    let server = serve("127.0.0.1:0", ServeOptions::default()).unwrap();
+    let addr = server.local_addr();
+    server
+        .state()
+        .registry
+        .insert_table("zone", table, server.state().config.clone())
+        .unwrap();
+
+    let query_body = json_body(&[("query", &format!("event_time < {CHUNK_ROWS}"))]);
+    let (status, resp) =
+        request_once(addr, "POST", "/tables/zone/characterize", Some(&query_body)).unwrap();
+    assert_eq!(status, 200, "{resp}");
+
+    let table = table_metrics(addr, "zone");
+    let zone_maps = table.get("zone_maps").unwrap();
+    let chunks = |outcome: &str| zone_maps.get(outcome).unwrap().as_u64().unwrap();
+    assert!(
+        chunks("chunks_skipped") > 0 && chunks("chunks_filled") > 0,
+        "the clustered query must both skip and fill chunks: {zone_maps:?}"
+    );
 
     server.shutdown();
 }
