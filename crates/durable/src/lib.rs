@@ -42,7 +42,7 @@ pub use crate::record::{
 };
 pub use crate::state::{
     decode_snapshot, encode_snapshot, CsvChain, CsvLoc, Materializer, SessionState, SnapshotState,
-    TableState, MAX_SESSION_QUERIES,
+    TableState,
 };
 
 /// Milliseconds since the Unix epoch — the wall half of the registry's

@@ -19,12 +19,6 @@ use serde_json::{Number, Value};
 
 use crate::record::{combine_csv_into, Record};
 
-/// Sessions keep at most this many replayable queries, mirroring the
-/// serve layer's history cap. Older queries age out; a restored
-/// session then resumes with a truncated history, which only affects
-/// the de-duplication window, never report bytes.
-pub const MAX_SESSION_QUERIES: usize = 64;
-
 /// Where the current CSV bytes of a live table can be read back from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsvLoc {
@@ -84,11 +78,11 @@ pub struct SessionState {
     pub id: u64,
     /// Table the session explores.
     pub table: String,
-    /// Total steps the session has accepted (monotonic; may exceed
-    /// `queries.len()` once the history cap trims old queries).
+    /// Total steps the session has accepted (monotonic).
     pub steps: u64,
-    /// The replayable query history, oldest first.
-    pub queries: Vec<String>,
+    /// The query of the last accepted step, whose report the session's
+    /// next step is diffed against (`None` before the first step).
+    pub last_query: Option<String>,
 }
 
 /// Everything a snapshot captures — built by the serve layer from live
@@ -102,7 +96,7 @@ pub struct SnapshotState {
     /// tombstones are local garbage-collection artifacts — they keep
     /// the copy dead across replay but are never exported to the fleet.
     pub tombstones: Vec<(String, u64, bool)>,
-    /// Live sessions with their replayable query history.
+    /// Live sessions with their step counts and last queries.
     pub sessions: Vec<SessionState>,
 }
 
@@ -120,7 +114,7 @@ struct MatTable {
 struct MatSession {
     table: String,
     steps: u64,
-    queries: Vec<String>,
+    last_query: Option<String>,
 }
 
 /// Folds snapshot + records into materialized state.
@@ -158,7 +152,7 @@ impl Materializer {
                     MatSession {
                         table: s.table.clone(),
                         steps: s.steps,
-                        queries: s.queries.clone(),
+                        last_query: s.last_query.clone(),
                     },
                 );
             }
@@ -240,17 +234,14 @@ impl Materializer {
                 self.sessions.entry(*id).or_insert_with(|| MatSession {
                     table: table.clone(),
                     steps: 0,
-                    queries: Vec::new(),
+                    last_query: None,
                 });
             }
             Record::SessionStep { id, seq, query } => {
                 if let Some(s) = self.sessions.get_mut(id) {
                     if *seq > s.steps {
                         s.steps = *seq;
-                        s.queries.push(query.clone());
-                        if s.queries.len() > MAX_SESSION_QUERIES {
-                            s.queries.remove(0);
-                        }
+                        s.last_query = Some(query.clone());
                     }
                 }
             }
@@ -288,7 +279,7 @@ impl Materializer {
                 id,
                 table: s.table,
                 steps: s.steps,
-                queries: s.queries,
+                last_query: s.last_query,
             })
             .collect();
         sessions.sort_by_key(|s| s.id);
@@ -373,9 +364,11 @@ fn encode_snapshot_json(cover_lsn: u64, state: &SnapshotState) -> String {
                 ("id".into(), num(s.id)),
                 ("table".into(), Value::String(s.table.clone())),
                 ("steps".into(), num(s.steps)),
+                // An array of at most one element: the format that
+                // binaries reading a query list already decode.
                 (
                     "queries".into(),
-                    Value::Array(s.queries.iter().map(|q| Value::String(q.clone())).collect()),
+                    Value::Array(s.last_query.iter().cloned().map(Value::String).collect()),
                 ),
             ])
         })
@@ -469,13 +462,15 @@ pub fn decode_snapshot(text: &str) -> Result<(u64, SnapshotState), String> {
         .and_then(Value::as_array)
         .ok_or("missing sessions")?
     {
-        let queries = s
+        // The last element is the last query; older snapshots carry up
+        // to 64 queries, oldest first.
+        let last_query = s
             .get("queries")
             .and_then(Value::as_array)
             .ok_or("session queries")?
-            .iter()
+            .last()
             .map(|q| q.as_str().map(str::to_string).ok_or("session query"))
-            .collect::<Result<Vec<_>, _>>()?;
+            .transpose()?;
         state.sessions.push(SessionState {
             id: s.get("id").and_then(Value::as_u64).ok_or("session id")?,
             table: s
@@ -487,7 +482,7 @@ pub fn decode_snapshot(text: &str) -> Result<(u64, SnapshotState), String> {
                 .get("steps")
                 .and_then(Value::as_u64)
                 .ok_or("session steps")?,
-            queries,
+            last_query,
         });
     }
     Ok((lsn, state))
@@ -693,7 +688,7 @@ mod tests {
         let state = mat.into_state();
         assert_eq!(state.sessions.len(), 1);
         assert_eq!(state.sessions[0].steps, 3);
-        assert_eq!(state.sessions[0].queries, vec!["q1", "q2", "q3"]);
+        assert_eq!(state.sessions[0].last_query.as_deref(), Some("q3"));
     }
 
     #[test]
@@ -749,16 +744,39 @@ mod tests {
                 id: 3,
                 table: "wines".into(),
                 steps: 5,
-                queries: vec!["a > 1".into(), "b = 2".into()],
+                last_query: Some("b = 2".into()),
             }],
         };
         let text = encode_snapshot(42, &state);
         assert!(text.starts_with(SNAPSHOT_MAGIC), "{text}");
+        assert!(text.contains(r#""queries":["b = 2"]"#), "{text}");
         let (lsn, back) = decode_snapshot(&text).unwrap();
         assert_eq!(lsn, 42);
         assert_eq!(back, state);
         assert!(decode_snapshot("{}").is_err());
         assert!(decode_snapshot("junk").is_err());
+    }
+
+    #[test]
+    fn history_snapshots_decode_to_their_last_query() {
+        // A version-1 snapshot from when sessions kept up to 64 queries,
+        // oldest first, written by hand.
+        let queries: Vec<String> = (1..=64).map(|i| format!("\"a > {i}\"")).collect();
+        let legacy = format!(
+            r#"{{"version":1,"lsn":5,"tables":[],"tombstones":[],"sessions":[{{"id":3,"table":"t","steps":70,"queries":[{}]}},{{"id":4,"table":"t","steps":0,"queries":[]}}]}}"#,
+            queries.join(",")
+        );
+        let (lsn, state) = decode_snapshot(&legacy).unwrap();
+        assert_eq!(lsn, 5);
+        assert_eq!(state.sessions[0].steps, 70);
+        assert_eq!(state.sessions[0].last_query.as_deref(), Some("a > 64"));
+        assert_eq!(state.sessions[1].last_query, None);
+        // Re-encoding writes at most one query per session.
+        let text = encode_snapshot(lsn, &state);
+        assert!(text.contains(r#""queries":["a > 64"]"#), "{text}");
+        assert!(text.contains(r#""queries":[]"#), "{text}");
+        assert!(!text.contains("a > 63"), "{text}");
+        assert_eq!(decode_snapshot(&text).unwrap(), (lsn, state));
     }
 
     #[test]

@@ -77,7 +77,7 @@ fn replay_equivalence_across_modes() {
         assert_eq!(state.tables[0].name, "t1");
         assert_eq!(state.tombstones, vec![("t2".into(), 12, false)]);
         assert_eq!(state.sessions.len(), 1);
-        assert_eq!(state.sessions[0].queries, vec!["a > 0"]);
+        assert_eq!(state.sessions[0].last_query.as_deref(), Some("a > 0"));
         // CSV served from the log, not from memory.
         assert_eq!(log.table_csv("t1").as_deref(), Some("a,b\n1,2\n"));
         assert_eq!(log.table_csv("t2"), None);

@@ -32,11 +32,12 @@
 //!   backend in parallel and merge per-shard sections into one
 //!   document.
 //! * **Sessions** — sticky to the backend that created them (their
-//!   history lives in that process); if that process dies, the router
-//!   replays its query ledger onto another replica of the table and the
-//!   conversation continues there ([`router`] session failover). A 503
-//!   is reserved for the genuinely unrecoverable case: no other live
-//!   replica of the table.
+//!   previous report lives in that process); if that process dies, the
+//!   router resumes the session on another replica of the table from
+//!   its ledger of (last query, step count), and the conversation
+//!   continues there ([`router`] session failover). A 503 is reserved
+//!   for the genuinely unrecoverable case: no other live replica of the
+//!   table.
 //! * **Dynamic membership** — `POST /admin/backends` and `DELETE
 //!   /admin/backends/{id}` grow/shrink the ring at runtime under a
 //!   versioned epoch ([`router::Membership`]); in-flight requests drain

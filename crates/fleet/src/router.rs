@@ -27,15 +27,16 @@
 //! `/metrics`, so clients and tests can observe membership changes.
 //!
 //! Sessions are *sticky first, recoverable second*: a session is
-//! created on one replica and its steps route there, because session
-//! history lives in that backend's memory. The mapping holds the
-//! backend by `Arc`, not by ring position, so membership churn never
-//! re-points a session; removing a session's home from the ring merely
-//! drains it. If the home *process dies*, the router no longer answers
-//! a blanket 503: it keeps a ledger of every query stepped through the
-//! session and rebuilds it on another healthy replica of the table —
-//! create, replay, then forward the interrupted step (reports are
-//! deterministic, so the rebuilt history matches the lost one). Only a
+//! created on one replica and its steps route there, because the
+//! report its next step is diffed against lives in that backend's
+//! memory. The mapping holds the backend by `Arc`, not by ring
+//! position, so membership churn never re-points a session; removing a
+//! session's home from the ring merely drains it. If the home *process
+//! dies*, the router no longer answers a blanket 503: its ledger keeps
+//! each session's last query and step count, and it resumes the session
+//! on another healthy replica of the table — one `POST /sessions` with
+//! `resume`, then the interrupted step (reports are deterministic, so
+//! the next diff matches the one the lost home would have sent). Only a
 //! session whose table has no other live replica is truly lost, and
 //! the 503 says so explicitly.
 
@@ -150,13 +151,12 @@ struct FleetSession {
     backend: Arc<Backend>,
     backend_session: u64,
     table: String,
-    /// Every query stepped through this session so far, in order,
-    /// capped at [`ziggy_serve::sessions::MAX_HISTORY`] (mirroring the
-    /// backend's own history cap). This is the failover ledger: when
-    /// the home backend dies, the session is rebuilt on another replica
-    /// by replaying these queries — reports are deterministic, so the
-    /// rebuilt history step-for-step matches the lost one.
-    queries: Vec<String>,
+    /// The failover ledger: the last query stepped through this session
+    /// and its lifetime step count. When the home backend dies, the
+    /// session is resumed on another replica from these two (reports
+    /// are deterministic, so the next diff matches the lost one).
+    last_query: Option<String>,
+    steps: u64,
     /// Last create/step activity; mappings idle past the TTL are swept
     /// (their backend sessions expire independently on the backend).
     last_used: Instant,
@@ -514,8 +514,8 @@ pub fn route_fleet_traced(
 /// connection pool. GET/PUT/DELETE are idempotent by contract (the
 /// replicate path is *designed* to converge on retry), and POST
 /// characterize is a pure read; POST session create/step mutate backend
-/// state, so a duplicate would orphan a session or double-advance a
-/// history.
+/// state, so a duplicate would orphan a session or double-advance its
+/// step count.
 fn retry_safe(method: &str, path: &str) -> bool {
     method != "POST" || path.ends_with("/characterize")
 }
@@ -1358,6 +1358,10 @@ fn handle_create_session(
         Ok(t) => t.to_string(),
         Err(e) => return (error_response(e.status, &e.message), None),
     };
+    // A client-sent `resume` seeds the ledger; the backend validates it.
+    let resume = |key: &str| parsed.get("resume").and_then(|r| r.get(key));
+    let last_query = resume("query").and_then(Value::as_str).map(str::to_string);
+    let steps = resume("steps").and_then(Value::as_u64).unwrap_or(0);
     let body = match body_text(body) {
         Ok(b) => b,
         Err(e) => return (error_response(e.status, &e.message), None),
@@ -1419,7 +1423,8 @@ fn handle_create_session(
                             backend: Arc::clone(&backend),
                             backend_session,
                             table: table.clone(),
-                            queries: Vec::new(),
+                            last_query,
+                            steps,
                             last_used: Instant::now(),
                         },
                     );
@@ -1464,16 +1469,6 @@ fn parse_fleet_session_id(id: &str) -> Result<u64, Response> {
         .map_err(|_| error_response(400, "session id must be an integer"))
 }
 
-/// Appends one stepped query to a session's failover ledger, mirroring
-/// the backend's own history cap so the ledger and the real history
-/// describe the same window.
-fn record_query(session: &mut FleetSession, query: &str) {
-    if session.queries.len() >= ziggy_serve::sessions::MAX_HISTORY {
-        session.queries.remove(0);
-    }
-    session.queries.push(query.to_string());
-}
-
 fn handle_session_step(
     state: &FleetState,
     id: &str,
@@ -1497,7 +1492,7 @@ fn handle_session_step(
         }
     };
     // The stepped query, for the failover ledger (a body the backend
-    // will reject never needs replaying).
+    // rejects never enters it).
     let query: Option<String> = parse_object(body.as_bytes())
         .ok()
         .and_then(|v| v.get("query").and_then(Value::as_str).map(str::to_string));
@@ -1514,9 +1509,8 @@ fn handle_session_step(
             if let Some(s) = state.sessions.write().get_mut(&id) {
                 s.last_used = Instant::now();
                 if (200..300).contains(&status) {
-                    if let Some(q) = &query {
-                        record_query(s, q);
-                    }
+                    s.last_query = query;
+                    s.steps += 1;
                 }
             }
             (
@@ -1524,25 +1518,21 @@ fn handle_session_step(
                 Some(backend.id().to_string()),
             )
         }
-        // The home backend is gone at the transport level. Session
-        // history lives in that process's memory, but the router holds
-        // the ledger of every query stepped so far — rebuild the
-        // session on another replica of the table and continue the
-        // conversation there.
+        // The home backend is gone at the transport level, and the
+        // session's previous report with it. The router's ledger holds
+        // the last query and the step count: resume the session on
+        // another replica of the table and continue there.
         Err(_) => failover_session(state, id, &backend, query.as_deref(), body, trace),
     }
 }
 
-/// Rebuilds a dead-homed session on another healthy replica of its
-/// table: create a fresh backend session, replay the recorded queries
-/// in order (reports are deterministic, so the rebuilt history matches
-/// the lost one), then forward the interrupted step. On success the
+/// Resumes a dead-homed session on another healthy replica of its
+/// table: one `POST /sessions` carrying `resume` (the ledger's last
+/// query and step count), then the interrupted step. On success the
 /// fleet mapping is re-pointed and the response carries an
 /// `X-Fleet-Session-Failover` header naming the new home. Only when no
-/// replica can host the rebuild — the table has no other live copy —
-/// does the client see a 503, and that 503 states exactly that, instead
-/// of the old blanket "create a new session" hint for a session that
-/// was in fact recoverable.
+/// replica can host the session (the table has no other live copy)
+/// does the client see a 503, and that 503 states exactly that.
 fn failover_session(
     state: &FleetState,
     id: u64,
@@ -1551,10 +1541,10 @@ fn failover_session(
     step_body: &str,
     trace: Option<&str>,
 ) -> (Response, Option<String>) {
-    let (table, queries) = {
+    let (table, last_query, steps) = {
         let sessions = state.sessions.read();
         match sessions.get(&id) {
-            Some(s) => (s.table.clone(), s.queries.clone()),
+            Some(s) => (s.table.clone(), s.last_query.clone(), s.steps),
             None => return (error_response(404, &format!("no session {id}")), None),
         }
     };
@@ -1564,12 +1554,21 @@ fn failover_session(
         .into_iter()
         .filter(|b| !Arc::ptr_eq(b, dead))
         .collect();
-    let create_body = serde_json::to_string(&Value::Object(vec![(
-        "table".into(),
-        Value::String(table.clone()),
-    )]))
-    .expect("session bodies always render");
+    let mut create = vec![("table".into(), Value::String(table.clone()))];
+    if let Some(q) = last_query {
+        create.push((
+            "resume".into(),
+            Value::Object(vec![
+                ("query".into(), Value::String(q)),
+                ("steps".into(), num_u(steps)),
+            ]),
+        ));
+    }
+    let create_body =
+        serde_json::to_string(&Value::Object(create)).expect("session bodies always render");
     for backend in candidates {
+        // A replica that refuses the resume (its engine rejects the
+        // last query) cannot continue the conversation; try the next.
         let created = forward_traced(
             state,
             &backend,
@@ -1589,40 +1588,10 @@ fn failover_session(
         else {
             continue;
         };
-        let step_path = format!("/sessions/{new_session}/step");
-        let abandon = |host: &Arc<Backend>| {
-            let _ = forward(
-                state,
-                host,
-                "DELETE",
-                &format!("/sessions/{new_session}"),
-                None,
-            );
-        };
-        // Replay the ledger. Any refused replay leg means this replica
-        // cannot faithfully host the session; try the next one.
-        let mut replayed = true;
-        for q in &queries {
-            let replay_body = serde_json::to_string(&Value::Object(vec![(
-                "query".into(),
-                Value::String(q.clone()),
-            )]))
-            .expect("session bodies always render");
-            match forward(state, &backend, "POST", &step_path, Some(&replay_body)) {
-                Ok((status, _)) if (200..300).contains(&status) => {}
-                _ => {
-                    replayed = false;
-                    break;
-                }
-            }
-        }
-        if !replayed {
-            abandon(&backend);
-            continue;
-        }
         // The interrupted step itself. A client error (bad query) still
         // counts as a successful failover — the session lives here now
         // and the client sees the same 4xx a healthy home would return.
+        let step_path = format!("/sessions/{new_session}/step");
         let stepped = forward_traced(state, &backend, "POST", &step_path, trace, Some(step_body));
         match stepped {
             Ok((status, resp_body)) if status != 404 && !(500..600).contains(&status) => {
@@ -1631,9 +1600,8 @@ fn failover_session(
                     s.backend_session = new_session;
                     s.last_used = Instant::now();
                     if (200..300).contains(&status) {
-                        if let Some(q) = query {
-                            record_query(s, q);
-                        }
+                        s.last_query = query.map(str::to_string);
+                        s.steps += 1;
                     }
                 }
                 state.metrics.session_failovers_total.inc();
@@ -1646,7 +1614,8 @@ fn failover_session(
                 );
             }
             _ => {
-                abandon(&backend);
+                let path = format!("/sessions/{new_session}");
+                let _ = forward(state, &backend, "DELETE", &path, None);
                 continue;
             }
         }
@@ -1656,8 +1625,7 @@ fn failover_session(
             503,
             &format!(
                 "session {id} is unrecoverable: its home backend is unreachable and no other \
-                 live replica of table `{table}` could rebuild it from {} recorded step(s)",
-                queries.len()
+                 live replica of table `{table}` could resume it at step {steps}"
             ),
         ),
         None,

@@ -253,6 +253,97 @@ fn sessions_are_sticky_and_survive_other_replicas_dying() {
     fleet.shutdown();
 }
 
+/// The `diff` member of a step response, re-rendered.
+fn diff_of(step: &str) -> String {
+    let v = serde_json::from_str_value(step).unwrap();
+    serde_json::to_string(v.get("diff").unwrap()).unwrap()
+}
+
+#[test]
+fn long_sessions_fail_over_at_their_own_step_without_replays() {
+    let (mut backends, addrs) = spawn_backends(2);
+    let fleet = start_fleet(
+        "127.0.0.1:0",
+        addrs,
+        FleetOptions {
+            replication: 2,
+            probe_interval: Duration::from_millis(50),
+            ..FleetOptions::default()
+        },
+    )
+    .unwrap();
+    let router = fleet.local_addr();
+    let body = json_body(&[("name", "t"), ("csv", &demo_csv())]);
+    let (status, _) = request_once(router, "POST", "/tables", Some(&body)).unwrap();
+    assert_eq!(status, 201);
+    let (status, created) = request_once(
+        router,
+        "POST",
+        "/sessions",
+        Some(&json_body(&[("table", "t")])),
+    )
+    .unwrap();
+    assert_eq!(status, 201, "{created}");
+    let v = serde_json::from_str_value(&created).unwrap();
+    let sid = v.get("session_id").unwrap().as_u64().unwrap();
+    let home = v.get("backend").unwrap().as_str().unwrap().to_string();
+
+    // 70 steps of one query: every step after the first is a
+    // report-cache hit, so the long session stays cheap.
+    let step_body = json_body(&[("query", "key >= 150")]);
+    let step_path = format!("/sessions/{sid}/step");
+    let mut client = Client::connect(router).unwrap();
+    let mut step70 = String::new();
+    for step in 1..=70 {
+        let (status, resp) = client
+            .request("POST", &step_path, Some(&step_body))
+            .unwrap();
+        assert_eq!(status, 200, "{resp}");
+        assert!(resp.contains(&format!("\"step\":{step},")), "{resp}");
+        step70 = resp;
+    }
+
+    let addr_of = |id: &str| {
+        let idx: usize = id.strip_prefix("shard-").unwrap().parse().unwrap();
+        fleet.state().backends()[idx].addr()
+    };
+    let home_addr = addr_of(&home);
+    let victim = backends
+        .iter()
+        .position(|b| b.local_addr() == home_addr)
+        .unwrap();
+    backends.remove(victim).shutdown();
+
+    let (status, headers, step71) = client
+        .request_with_headers("POST", &step_path, &[], Some(&step_body))
+        .unwrap();
+    assert_eq!(status, 200, "{step71}");
+    assert!(step71.contains("\"step\":71,"), "{step71}");
+    assert_eq!(
+        diff_of(&step71),
+        diff_of(&step70),
+        "the diff survives failover"
+    );
+    let new_home = headers
+        .iter()
+        .find(|(k, _)| k == "x-fleet-session-failover")
+        .map(|(_, v)| v.clone())
+        .expect("failed-over step must carry X-Fleet-Session-Failover");
+    assert_ne!(new_home, home);
+
+    // Only the interrupted step ran on the new home: no replays.
+    let (status, metrics) = request_once(addr_of(&new_home), "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let v = serde_json::from_str_value(&metrics).unwrap();
+    let steps = v.get("requests").unwrap().get("session_steps").unwrap();
+    assert_eq!(steps.as_u64(), Some(1), "{metrics}");
+
+    fleet.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
 #[test]
 fn metrics_scatter_gather_and_router_edge_limits() {
     let (backends, addrs) = spawn_backends(2);

@@ -26,7 +26,7 @@
 //! | `PUT /tables/{name}` | `{"csv": "<csv text>"}` | idempotent ingest (the fleet's replicate path): `201` created, `200` the identical table (by CSV fingerprint) was already resident, `409` the name is taken by different content |
 //! | `GET /tables/{name}/csv` | — | `200` `{"name","csv","fingerprint"}` — the original upload bytes, verbatim, so replicating the export elsewhere fingerprints identically (the fleet repair loop's read side); `404` unknown table or no CSV provenance (in-process registrations) |
 //! | `DELETE /tables/{name}` | — | `200` `{"deleted": "<name>", "sessions_closed": <n>}` — `404` unknown table. Frees the name and the registry slot immediately and closes the table's sessions (cascade), so the engine's memory is not pinned by abandoned clients; in-flight requests finish normally |
-//! | `POST /sessions` | `{"table": "crime"}` | `201` `{"session_id", "table"}` — `404` unknown table |
+//! | `POST /sessions` | `{"table": "crime", "resume": {"query": "<predicate>", "steps": n}?}` | `201` `{"session_id", "table"}` — `404` unknown table. With `resume`, the session continues a conversation held elsewhere (the fleet's session failover): it has taken `n` steps, and its next step is numbered `n + 1` and diffed against `query`'s report. `400` when `steps` is not a positive integer or `query` not a string, `422` when `query` does not characterize (no session is created) |
 //! | `POST /sessions/{id}/step` | `{"query": "<predicate>"}` | `200` `{"step", "report", "diff"}` where `diff` is a [`ziggy_core::ReportDiff`] against the previous step (`null` on the first) — `404` unknown session, `422` engine rejection |
 //! | `DELETE /sessions/{id}` | — | `200` `{"deleted": <id>}` — `404` unknown session. Frees the session slot and releases its table pin |
 //! | `GET /tombstones` | — | `200` `{"tombstones":[{"table","ts"},…]}` — the HLC-stamped delete set, consumed by the fleet repair loop so backends that missed a delete cannot resurrect the table; stray-GC tombstones (`DELETE …?stray=true`) are withheld |
@@ -45,6 +45,13 @@
 //! tombstones, and sessions all come back, and replayed reports are
 //! byte-identical (same `ETag`s) because wire bytes are a pure function
 //! of (table, configuration, query).
+//!
+//! A session replays as (table, last query, step count): restoring it
+//! runs at most one characterization, its last query's, and its next
+//! step's diff is the one the lost process would have sent. If the last
+//! query no longer characterizes (the server's configuration changed
+//! since it was logged), the session is still restored but has no
+//! previous report, so its next step answers `"diff": null`.
 //!
 //! Table and session counts are capped
 //! ([`registry::MAX_TABLES`], [`sessions::MAX_SESSIONS`]; `409` beyond
@@ -69,8 +76,9 @@
 //! replica rotation and failover (a conditional request revalidates
 //! `304` against whichever replica answers).
 //!
-//! Failed session steps (`4xx`/`422`) do not enter the session history,
-//! matching [`ziggy_core::ExplorationSession`] semantics.
+//! Failed session steps (`4xx`/`422`) neither count as a step nor
+//! replace the report the next step is diffed against, matching
+//! [`ziggy_core::ExplorationSession`] semantics.
 //!
 //! # Concurrency model
 //!
@@ -85,8 +93,8 @@
 //!   read locks, and the engine itself is only `&self` — concurrent
 //!   characterizations of one table proceed in parallel, sharing the
 //!   per-table [`ziggy_store::StatsCache`].
-//! * Session steps lock only their own session's history; the engine
-//!   call happens outside that lock.
+//! * Session steps lock only their own session; the engine call happens
+//!   outside that lock.
 //!
 //! # Example
 //!
@@ -254,16 +262,21 @@ fn boot_durable(
         state.registry.restore_tombstone(name, *ts, *stray);
     }
     for s in &replay.state.sessions {
-        match state.registry.get(&s.table) {
-            Ok(entry) => {
-                state.sessions.restore(s.id, entry, &s.queries, s.steps);
-            }
-            Err(_) => {
-                eprintln!(
-                    "ziggy-serve: replay skipped session {} (table `{}` gone)",
-                    s.id, s.table
-                );
-            }
+        let Ok(entry) = state.registry.get(&s.table) else {
+            eprintln!(
+                "ziggy-serve: replay skipped session {} (table `{}` gone)",
+                s.id, s.table
+            );
+            continue;
+        };
+        if let Err(e) = state
+            .sessions
+            .restore(s.id, entry, s.last_query.as_deref(), s.steps)
+        {
+            eprintln!(
+                "ziggy-serve: session {} resumes with no previous report: {e}",
+                s.id
+            );
         }
     }
     Ok(log)

@@ -135,17 +135,7 @@ fn maybe_snapshot(state: &ServeState) {
     let snap = ziggy_durable::SnapshotState {
         tables: state.registry.snapshot_tables(),
         tombstones: state.registry.tombstones(),
-        sessions: state
-            .sessions
-            .snapshot_sessions()
-            .into_iter()
-            .map(|(id, table, steps, queries)| ziggy_durable::SessionState {
-                id,
-                table,
-                steps,
-                queries,
-            })
-            .collect(),
+        sessions: state.sessions.snapshot_sessions(),
     };
     // A failed write is not fatal to the request that triggered it: the
     // log is still intact, segments just don't compact yet.
@@ -607,15 +597,37 @@ fn handle_delete_session(state: &ServeState, id: &str) -> Result<Response, ApiEr
     ))
 }
 
+/// The optional `resume` member of a `POST /sessions` body, `{"query":
+/// q, "steps": n}`: the session continues a conversation that has taken
+/// `n` steps, the last of them `q`.
+fn parse_resume(resume: &Value) -> Result<(&str, u64), ApiError> {
+    let query = resume.get("query").and_then(Value::as_str);
+    match (query, resume.get("steps").and_then(Value::as_u64)) {
+        (Some(query), Some(steps)) if steps > 0 => Ok((query, steps)),
+        _ => Err(ApiError::bad_request(
+            "`resume` must be {\"query\": <string>, \"steps\": <positive integer>}",
+        )),
+    }
+}
+
 fn handle_create_session(state: &ServeState, body: &[u8]) -> Result<Response, ApiError> {
     let parsed = parse_object(body)?;
     let table = required_str(&parsed, "table")?;
+    let resume = parsed.get("resume").map(parse_resume).transpose()?;
     let entry = state.registry.get(table)?;
-    let id = state.sessions.create(std::sync::Arc::clone(&entry))?;
+    let (last_query, steps) = resume.map_or((None, 0), |(q, n)| (Some(q), n));
+    let id = state
+        .sessions
+        .resume(std::sync::Arc::clone(&entry), last_query, steps)?;
     // Count the creation before the re-validation below, so a session
     // the delete cascade closes (counted in sessions_deleted) always
     // has a matching creation and created - deleted stays >= 0.
     state.metrics.sessions_created.inc();
+    let unwind = || {
+        if state.sessions.remove(id).is_ok() {
+            state.metrics.sessions_deleted.inc();
+        }
+    };
     // Re-validate after the insert: a DELETE /tables/{name} racing
     // between the lookup above and the insert runs its session cascade
     // too early to see this session, which would then pin the dropped
@@ -623,27 +635,39 @@ fn handle_create_session(state: &ServeState, body: &[u8]) -> Result<Response, Ap
     match state.registry.get(table) {
         Ok(current) if std::sync::Arc::ptr_eq(&current, &entry) => {}
         _ => {
-            if state.sessions.remove(id).is_ok() {
-                // The cascade missed it, so it wasn't counted there.
-                state.metrics.sessions_deleted.inc();
-            }
+            // The cascade missed it, so it wasn't counted there.
+            unwind();
             return Err(ApiError::not_found(format!("no table named `{table}`")));
         }
     }
     // Log after validation so replay never resurrects a session whose
-    // creation this handler went on to undo. An append failure unwinds
-    // the in-memory session: the creation is not acknowledged.
+    // creation this handler went on to undo. A resumed session is
+    // logged as its creation plus its last step, which replay restores
+    // exactly as it restores a session stepped here. An append failure
+    // unwinds the in-memory session: the creation is not acknowledged.
     if let Some(log) = state.registry.durable() {
-        if let Err(e) = log.append(&Record::SessionCreate {
+        let mut records = vec![Record::SessionCreate {
             id,
             table: table.to_string(),
-        }) {
-            if state.sessions.remove(id).is_ok() {
-                state.metrics.sessions_deleted.inc();
+        }];
+        if let Some(query) = last_query {
+            records.push(Record::SessionStep {
+                id,
+                seq: steps,
+                query: query.to_string(),
+            });
+        }
+        for (i, record) in records.iter().enumerate() {
+            if let Err(e) = log.append(record) {
+                if i > 0 {
+                    // The creation is logged: close it for replay too.
+                    let _ = log.append(&Record::SessionDelete { id });
+                }
+                unwind();
+                return Err(ApiError::internal(format!(
+                    "durable log append failed: {e}"
+                )));
             }
-            return Err(ApiError::internal(format!(
-                "durable log append failed: {e}"
-            )));
         }
     }
     Ok(json_response(
@@ -679,7 +703,7 @@ fn handle_session_step(state: &ServeState, id: &str, body: &[u8]) -> Result<Resp
     if let Some(log) = state.registry.durable() {
         log.append(&Record::SessionStep {
             id,
-            seq: outcome.step as u64,
+            seq: outcome.step,
             query: query.to_string(),
         })
         .map_err(|e| ApiError::internal(format!("durable log append failed: {e}")))?;
@@ -701,7 +725,7 @@ fn handle_session_step(state: &ServeState, id: &str, body: &[u8]) -> Result<Resp
         &Value::Object(vec![
             (
                 "step".into(),
-                Value::Number(serde_json::Number::U(outcome.step as u64)),
+                Value::Number(serde_json::Number::U(outcome.step)),
             ),
             (
                 "report".into(),
@@ -1562,5 +1586,174 @@ mod tests {
             .unwrap()
             .as_u64()
             .is_some());
+    }
+
+    fn step_body(query: &str) -> String {
+        serde_json::to_string(&Value::Object(vec![(
+            "query".into(),
+            Value::String(query.into()),
+        )]))
+        .unwrap()
+    }
+
+    /// The `diff` member of a step response, re-rendered.
+    fn diff_of(step: &Response) -> String {
+        let v = serde_json::from_str_value(&step.body).unwrap();
+        serde_json::to_string(v.get("diff").unwrap()).unwrap()
+    }
+
+    #[test]
+    fn restoring_a_64_step_session_characterizes_once() {
+        let queries: Vec<String> = (0..64).map(|i| format!("key >= {}", 100 + i)).collect();
+        // snapshot_every = 0 replays the session from segments; 1
+        // snapshots after every mutating request, so it comes back out
+        // of a snapshot.
+        for snapshot_every in [0, 1] {
+            let dir = std::env::temp_dir().join(format!(
+                "ziggy-serve-router-{}-restore-once-{snapshot_every}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let boot = |state: &ServeState| {
+                crate::boot_durable(state, &dir, crate::DurabilityMode::Async, snapshot_every)
+                    .unwrap()
+            };
+            {
+                let state = ServeState::default();
+                boot(&state);
+                let body = serde_json::to_string(&Value::Object(vec![
+                    ("name".into(), Value::String("t".into())),
+                    ("csv".into(), Value::String(demo_csv())),
+                ]))
+                .unwrap();
+                assert_eq!(
+                    route(&state, &request("POST", "/tables", &body)).status,
+                    201
+                );
+                let r = route(&state, &request("POST", "/sessions", r#"{"table":"t"}"#));
+                assert_eq!(r.status, 201, "{}", r.body);
+                for q in &queries {
+                    let r = route(&state, &request("POST", "/sessions/1/step", &step_body(q)));
+                    assert_eq!(r.status, 200, "{}", r.body);
+                }
+                let c = state
+                    .registry
+                    .get("t")
+                    .unwrap()
+                    .engine()
+                    .report_cache()
+                    .counters();
+                assert_eq!(c.misses, 64, "64 distinct queries, {c:?}");
+            }
+            let state = ServeState::default();
+            boot(&state);
+            let entry = state.registry.get("t").unwrap();
+            let engine = entry.engine();
+            let c = engine.report_cache().counters();
+            assert_eq!(c.misses, 1, "restore must characterize once: {c:?}");
+
+            let next = "key >= 90";
+            let r = route(
+                &state,
+                &request("POST", "/sessions/1/step", &step_body(next)),
+            );
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert!(r.body.contains("\"step\":65"), "{}", r.body);
+            let previous = engine.characterize(&queries[63]).unwrap();
+            let current = engine.characterize(next).unwrap();
+            let expected = ziggy_core::diff_reports(&previous, &current);
+            assert_eq!(
+                diff_of(&r),
+                serde_json::to_string(&serde_json::to_value(&expected).unwrap()).unwrap()
+            );
+            drop((entry, state));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn resumed_sessions_continue_the_count_and_the_diff() {
+        let dir =
+            std::env::temp_dir().join(format!("ziggy-serve-router-{}-resume", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let boot = |state: &ServeState| {
+            crate::boot_durable(state, &dir, crate::DurabilityMode::Async, 0).unwrap()
+        };
+        let state = ServeState::default();
+        boot(&state);
+        let body = serde_json::to_string(&Value::Object(vec![
+            ("name".into(), Value::String("t".into())),
+            ("csv".into(), Value::String(demo_csv())),
+        ]))
+        .unwrap();
+        assert_eq!(
+            route(&state, &request("POST", "/tables", &body)).status,
+            201
+        );
+
+        // The conversation to continue: A then B on session 1.
+        let (a, b) = ("key >= 150", "key >= 120");
+        assert_eq!(
+            route(&state, &request("POST", "/sessions", r#"{"table":"t"}"#)).status,
+            201
+        );
+        for q in [a, b] {
+            let r = route(&state, &request("POST", "/sessions/1/step", &step_body(q)));
+            assert_eq!(r.status, 200, "{}", r.body);
+        }
+        let original = route(&state, &request("POST", "/sessions/1/step", &step_body(b)));
+
+        // Malformed resumes are 400s, a query the engine rejects is a
+        // 422: none creates a session.
+        for (resume, want) in [
+            (r#"{"query":"key >= 150","steps":0}"#, 400),
+            (r#"{"query":"key >= 150","steps":-3}"#, 400),
+            (r#"{"query":"key >= 150","steps":"2"}"#, 400),
+            (r#"{"query":"key >= 150","steps":1.5}"#, 400),
+            (r#"{"steps":2}"#, 400),
+            (r#""key >= 150""#, 400),
+            (r#"{"query":"key >>> 1","steps":2}"#, 422),
+            (r#"{"query":"key < -5","steps":2}"#, 422),
+        ] {
+            let body = format!(r#"{{"table":"t","resume":{resume}}}"#);
+            let r = route(&state, &request("POST", "/sessions", &body));
+            assert_eq!(r.status, want, "{resume}: {}", r.body);
+        }
+        assert_eq!(state.sessions.len(), 1);
+        let steps_before = state.metrics.session_steps.get();
+
+        // Resume after step 2 (A, B): the next step is #3, diffed
+        // against B, exactly as session 1's step 3 was.
+        let body = format!(r#"{{"table":"t","resume":{{"query":"{b}","steps":2}}}}"#);
+        let r = route(&state, &request("POST", "/sessions", &body));
+        assert_eq!(r.status, 201, "{}", r.body);
+        assert!(r.body.contains("\"session_id\":2"), "{}", r.body);
+        assert_eq!(
+            state.metrics.session_steps.get(),
+            steps_before,
+            "no step ran"
+        );
+        let resumed = route(&state, &request("POST", "/sessions/2/step", &step_body(b)));
+        assert_eq!(resumed.status, 200, "{}", resumed.body);
+        assert!(resumed.body.contains("\"step\":3"), "{}", resumed.body);
+        assert_ne!(diff_of(&resumed), "null", "{}", resumed.body);
+        assert_eq!(diff_of(&resumed), diff_of(&original));
+
+        // The WAL holds the resume as a create plus step 2, and nothing
+        // of the rejected resumes: replay restores exactly sessions 1
+        // and 2, both at step 3.
+        drop(state);
+        let state = ServeState::default();
+        boot(&state);
+        assert_eq!(state.sessions.len(), 2);
+        for id in [1, 2] {
+            let path = format!("/sessions/{id}/step");
+            let r = route(&state, &request("POST", &path, &step_body(b)));
+            assert_eq!(r.status, 200, "{}", r.body);
+            assert!(r.body.contains("\"step\":4"), "{}", r.body);
+            assert_eq!(diff_of(&r), diff_of(&original));
+        }
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,9 +1,13 @@
 //! Server-side exploration sessions.
 //!
-//! A session pins a table and accumulates its report history so each step
-//! can be diffed against the previous one ([`ziggy_core::diff_reports`]),
-//! mirroring the library's `ExplorationSession` across the network
-//! boundary. Sessions do **not** own an engine: they borrow the table's
+//! A session pins a table and keeps the one report its next step is
+//! diffed against ([`ziggy_core::diff_reports`]), mirroring the
+//! library's `ExplorationSession` across the network boundary. Reports
+//! are deterministic functions of (table, configuration, query), so a
+//! session is fully described by its table, its last successful query
+//! and its lifetime step count: that triple is what the durable log
+//! replays and what the fleet resumes a session from on another
+//! replica. Sessions do **not** own an engine: they borrow the table's
 //! shared engine from the registry, so session traffic enjoys the same
 //! once-per-table statistics as direct characterizations.
 
@@ -14,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use ziggy_core::{diff_reports, CharacterizationReport, ReportDiff};
+use ziggy_durable::SessionState;
 
 use crate::json::ApiError;
 use crate::registry::TableEntry;
@@ -24,51 +29,53 @@ use crate::registry::TableEntry;
 /// sessions idle past the manager's TTL are evicted on sweep.
 pub const MAX_SESSIONS: usize = 4096;
 
-/// Cap on per-session history length; older reports are dropped so
-/// long-lived sessions cannot grow without bound. (Matches
-/// `ziggy_durable::MAX_SESSION_QUERIES` so a restored session replays
-/// exactly the history a live one would hold.)
-pub const MAX_HISTORY: usize = 64;
-
 /// One client's exploration state.
-pub struct Session {
+struct Session {
     table: Arc<TableEntry>,
-    history: Vec<CharacterizationReport>,
-    /// The predicate text of the retained history steps, oldest first
-    /// (capped alongside `history`). This is what makes a session
-    /// *replayable*: the durable log and the fleet's failover path both
-    /// re-step these queries to rebuild byte-identical reports.
-    queries: Vec<String>,
-    /// Successful steps taken over the session's lifetime (monotonic —
-    /// unlike `history.len()`, which is capped at [`MAX_HISTORY`]).
-    steps_taken: usize,
+    /// The last successful step's report, which the next step is
+    /// diffed against. Its `query` field is the session's last query.
+    previous: Option<CharacterizationReport>,
+    /// Successful steps taken over the session's lifetime.
+    steps_taken: u64,
     /// Last creation/step activity; sessions idle past the manager's TTL
     /// are evicted by [`SessionManager::sweep_expired`].
     last_used: Instant,
 }
 
 impl Session {
-    /// The table this session explores.
-    pub fn table(&self) -> &Arc<TableEntry> {
-        &self.table
+    fn shared(
+        table: Arc<TableEntry>,
+        previous: Option<CharacterizationReport>,
+        steps_taken: u64,
+    ) -> Arc<Mutex<Self>> {
+        Arc::new(Mutex::new(Session {
+            table,
+            previous,
+            steps_taken,
+            last_used: Instant::now(),
+        }))
     }
+}
 
-    /// Steps taken so far.
-    pub fn len(&self) -> usize {
-        self.steps_taken
-    }
-
-    /// True before the first step.
-    pub fn is_empty(&self) -> bool {
-        self.steps_taken == 0
-    }
+/// The report of `last_query` on `table`, which a resumed session diffs
+/// its next step against: one report-cache lookup or one
+/// characterization. A query the engine rejects is the error.
+fn previous_report(
+    table: &TableEntry,
+    last_query: Option<&str>,
+) -> Result<Option<CharacterizationReport>, ApiError> {
+    let Some(q) = last_query else {
+        return Ok(None);
+    };
+    let outcome = table.engine().characterize_cached(q)?;
+    Ok(Some(outcome.cached.report_with_query(q)))
 }
 
 /// The outcome of one session step.
 #[derive(Debug)]
 pub struct StepOutcome {
     /// 1-based index of this step in the session.
-    pub step: usize,
+    pub step: u64,
     /// The report for this step.
     pub report: CharacterizationReport,
     /// Diff against the previous step (`None` on the first step).
@@ -79,7 +86,8 @@ pub struct StepOutcome {
     pub fresh: bool,
 }
 
-/// Thread-safe id → [`Session`] map with optional idle-TTL eviction.
+/// Thread-safe map of live sessions by id, with optional idle-TTL
+/// eviction.
 #[derive(Default)]
 pub struct SessionManager {
     next_id: AtomicU64,
@@ -161,7 +169,22 @@ impl SessionManager {
 
     /// Opens a session over `table`, returning its id.
     pub fn create(&self, table: Arc<TableEntry>) -> Result<u64, ApiError> {
+        self.resume(table, None, 0)
+    }
+
+    /// Opens a session that continues a conversation held elsewhere (a
+    /// fleet failover, or a client that kept its own place): it has
+    /// taken `steps` steps and its next step is diffed against
+    /// `last_query`'s report. A `last_query` the engine rejects is the
+    /// error, and no session is created.
+    pub fn resume(
+        &self,
+        table: Arc<TableEntry>,
+        last_query: Option<&str>,
+        steps: u64,
+    ) -> Result<u64, ApiError> {
         self.sweep_expired();
+        let previous = previous_report(&table, last_query)?;
         let mut sessions = self.sessions.write();
         if sessions.len() >= MAX_SESSIONS {
             return Err(ApiError::conflict(format!(
@@ -169,83 +192,59 @@ impl SessionManager {
             )));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
-        sessions.insert(
-            id,
-            Arc::new(Mutex::new(Session {
-                table,
-                history: Vec::new(),
-                queries: Vec::new(),
-                steps_taken: 0,
-                last_used: Instant::now(),
-            })),
-        );
+        sessions.insert(id, Session::shared(table, previous, steps));
         Ok(id)
     }
 
-    /// Re-creates a session under a known id (durable-log replay and
-    /// fleet failover). The retained `queries` are re-stepped through
-    /// the table's shared engine so the rebuilt history — and therefore
-    /// the next diff — is byte-identical to what the lost process held;
-    /// `steps` restores the monotonic lifetime counter, which may exceed
-    /// `queries.len()` when history was truncated. Queries that no
-    /// longer parse (config drift) are skipped rather than fatal.
-    /// Returns how many steps were replayed.
+    /// Re-creates a session under a known id (durable-log replay), with
+    /// the same rebuild as [`Self::resume`]: at most one
+    /// characterization, whatever the session's length. If `last_query`
+    /// no longer characterizes (config drift), the session is still
+    /// restored, with no previous report, so its next step answers
+    /// `"diff": null`; the rejection is returned for the caller to
+    /// report.
     pub fn restore(
         &self,
         id: u64,
         table: Arc<TableEntry>,
-        queries: &[String],
+        last_query: Option<&str>,
         steps: u64,
-    ) -> usize {
+    ) -> Result<(), ApiError> {
         // Keep future `create` ids above every restored id.
         self.next_id.fetch_max(id, Ordering::Relaxed);
-        let mut history = Vec::new();
-        let mut kept = Vec::new();
-        for q in queries.iter().take(MAX_HISTORY) {
-            if let Ok(outcome) = table.engine().characterize_cached(q) {
-                history.push(outcome.cached.report_with_query(q));
-                kept.push(q.clone());
-            }
-        }
-        let replayed = history.len();
-        self.sessions.write().insert(
-            id,
-            Arc::new(Mutex::new(Session {
-                table,
-                history,
-                queries: kept,
-                steps_taken: steps as usize,
-                last_used: Instant::now(),
-            })),
-        );
-        replayed
+        let (previous, rebuilt) = match previous_report(&table, last_query) {
+            Ok(previous) => (previous, Ok(())),
+            Err(e) => (None, Err(e)),
+        };
+        let session = Session::shared(table, previous, steps);
+        self.sessions.write().insert(id, session);
+        rebuilt
     }
 
-    /// A consistent copy of every live session's replayable state:
-    /// `(id, table name, lifetime steps, retained queries)`. Used by
-    /// snapshot writers; sessions busy in a step are captured as of
-    /// whenever their lock frees (the WAL tail covers the in-flight
+    /// A consistent copy of every live session's replayable state, by
+    /// id, for snapshot writers. Sessions busy in a step are captured as
+    /// of whenever their lock frees (the WAL tail covers the in-flight
     /// step either way).
-    pub fn snapshot_sessions(&self) -> Vec<(u64, String, u64, Vec<String>)> {
+    pub fn snapshot_sessions(&self) -> Vec<SessionState> {
         let sessions: Vec<(u64, Arc<Mutex<Session>>)> = self
             .sessions
             .read()
             .iter()
             .map(|(id, s)| (*id, Arc::clone(s)))
             .collect();
-        let mut out: Vec<(u64, String, u64, Vec<String>)> = sessions
+        let mut out: Vec<SessionState> = sessions
             .into_iter()
             .map(|(id, s)| {
                 let s = s.lock();
-                (
+                SessionState {
                     id,
-                    s.table.name().to_string(),
-                    s.steps_taken as u64,
-                    s.queries.clone(),
-                )
+                    table: s.table.name().to_string(),
+                    steps: s.steps_taken,
+                    last_query: s.previous.as_ref().map(|r| r.query.clone()),
+                }
             })
             .collect();
-        out.sort_by_key(|(id, ..)| *id);
+        out.sort_by_key(|s| s.id);
         out
     }
 
@@ -281,12 +280,13 @@ impl SessionManager {
     }
 
     /// Runs one step: characterize `query` on the session's shared
-    /// engine, diff against the previous report, append to history.
+    /// engine, diff against the previous report, keep this one as the
+    /// next step's previous.
     ///
-    /// Only the history bookkeeping holds the session lock; the engine
-    /// call itself is lock-free with respect to other sessions, so
-    /// concurrent clients on different sessions (even on the same table)
-    /// proceed in parallel.
+    /// Only that bookkeeping holds the session lock; the engine call
+    /// itself is lock-free with respect to other sessions, so concurrent
+    /// clients on different sessions (even on the same table) proceed
+    /// in parallel.
     pub fn step(&self, id: u64, query: &str) -> Result<StepOutcome, ApiError> {
         self.sweep_expired();
         let session = self
@@ -297,22 +297,17 @@ impl SessionManager {
             .ok_or_else(|| ApiError::not_found(format!("no session {id}")))?;
 
         // Characterize outside the session lock: failed steps must not
-        // pollute history (matching `ExplorationSession::explore`).
-        // Session traffic rides the same report cache as direct
-        // characterizations, so a step repeating a predicate any client
-        // has asked before skips the pipeline.
+        // replace the previous report (matching
+        // `ExplorationSession::explore`). Session traffic rides the same
+        // report cache as direct characterizations, so a step repeating
+        // a predicate any client has asked before skips the pipeline.
         let table = session.lock().table.clone();
         let outcome = table.engine().characterize_cached(query)?;
         let report = outcome.cached.report_with_query(query);
 
         let mut s = session.lock();
-        let diff = s.history.last().map(|prev| diff_reports(prev, &report));
-        s.history.push(report.clone());
-        s.queries.push(query.to_string());
-        if s.history.len() > MAX_HISTORY {
-            s.history.remove(0);
-            s.queries.remove(0);
-        }
+        let diff = s.previous.as_ref().map(|prev| diff_reports(prev, &report));
+        s.previous = Some(report.clone());
         s.steps_taken += 1;
         s.last_used = Instant::now();
         Ok(StepOutcome {
@@ -379,15 +374,15 @@ mod tests {
     }
 
     #[test]
-    fn step_counter_survives_history_truncation() {
+    fn step_counter_counts_every_step() {
         let (_r, entry) = registry_with_table();
         let m = SessionManager::new();
         let id = m.create(entry).unwrap();
         let mut last = 0;
-        for _ in 0..(super::MAX_HISTORY + 3) {
+        for _ in 0..67 {
             last = m.step(id, "key >= 150").unwrap().step;
         }
-        assert_eq!(last, super::MAX_HISTORY + 3, "step must stay monotonic");
+        assert_eq!(last, 67, "step must stay monotonic");
     }
 
     #[test]

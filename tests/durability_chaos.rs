@@ -205,11 +205,49 @@ fn sigkill_restart_replays_byte_identical_reports_and_sessions() {
         .to_string();
     assert_eq!(exported_csv, csv, "exported CSV must be the upload bytes");
 
-    // And the session picks up mid-count: the next step is #2.
+    // And the session picks up mid-count: the next step, with another
+    // query, is #2.
+    let other_body = json_body(&[("query", "genre = 'action'")]);
     let (status, step2) =
-        request_once(child.addr(), "POST", &step_path, Some(&query_body)).unwrap();
+        request_once(child.addr(), "POST", &step_path, Some(&other_body)).unwrap();
     assert_eq!(status, 200, "replayed session must keep stepping: {step2}");
     assert!(step2.contains("\"step\":2"), "{step2}");
+
+    // Its diff is the one an uninterrupted session sends: a control
+    // session on the restarted process steps the same two queries.
+    // Only `diff` is compared; `report.timings` differs run to run.
+    let (status, created) = request_once(
+        child.addr(),
+        "POST",
+        "/sessions",
+        Some(&json_body(&[("table", "boxoffice")])),
+    )
+    .unwrap();
+    assert_eq!(status, 201, "{created}");
+    let control = serde_json::from_str_value(&created)
+        .unwrap()
+        .get("session_id")
+        .unwrap()
+        .as_u64()
+        .unwrap();
+    let control_path = format!("/sessions/{control}/step");
+    let mut control_step2 = String::new();
+    for body in [&query_body, &other_body] {
+        let (status, resp) = request_once(child.addr(), "POST", &control_path, Some(body)).unwrap();
+        assert_eq!(status, 200, "{resp}");
+        control_step2 = resp;
+    }
+    assert!(control_step2.contains("\"step\":2"), "{control_step2}");
+    let diff = |step: &str| {
+        let (_, diff) = step.rsplit_once("\"diff\":").expect("steps carry a diff");
+        diff.to_string()
+    };
+    assert!(!diff(&step2).starts_with("null"), "{step2}");
+    assert_eq!(
+        diff(&step2),
+        diff(&control_step2),
+        "the restored session's diff must be byte-identical"
+    );
 }
 
 #[test]
