@@ -69,41 +69,6 @@ impl MarkdownTable {
     }
 }
 
-/// Scheduler-visible parallelism (what `std::thread` sees; cgroup and
-/// affinity limits included). `0` when the OS refuses to say.
-pub fn host_parallelism() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(0)
-}
-
-/// Physical/logical CPU count from `/proc/cpuinfo` — can exceed
-/// [`host_parallelism`] inside a CPU-limited container, which is
-/// exactly the distinction a throughput number needs recorded.
-pub fn host_cpus() -> u64 {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .map(|s| s.lines().filter(|l| l.starts_with("processor")).count() as u64)
-        .ok()
-        .filter(|&n| n > 0)
-        .unwrap_or_else(host_parallelism)
-}
-
-/// The `host` header every `BENCH_*.json` document carries: throughput
-/// and scaling numbers are meaningless without knowing how many cores
-/// the run actually had.
-pub fn host_json() -> serde_json::Value {
-    serde_json::Value::Object(vec![
-        (
-            "parallelism".into(),
-            serde_json::Value::Number(serde_json::Number::U(host_parallelism())),
-        ),
-        (
-            "cpus".into(),
-            serde_json::Value::Number(serde_json::Number::U(host_cpus())),
-        ),
-    ])
-}
-
 /// Formats microseconds human-readably (`950 us`, `12.3 ms`, `4.56 s`).
 pub fn format_duration_us(us: u64) -> String {
     if us < 1_000 {

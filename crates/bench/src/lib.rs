@@ -10,4 +10,4 @@
 pub mod experiments;
 pub mod harness;
 
-pub use harness::{format_duration_us, host_json, MarkdownTable};
+pub use harness::{format_duration_us, MarkdownTable};

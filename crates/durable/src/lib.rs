@@ -21,16 +21,17 @@
 //!   so a restarted backend replays its sessions and the fleet router
 //!   can re-home a session whose replica died.
 //!
-//! Acknowledgement durability comes in three modes ([`DurabilityMode`],
-//! `--durability` on the CLI): `fsync` per op, `batch` group commit
-//! (appends gate on a shared flusher that issues one fsync per commit
-//! interval), and `async` (write-to-OS, crash-safe but not
-//! power-safe). Periodic [snapshots](DurableLog::write_snapshot)
+//! Acknowledgement durability comes in two modes ([`DurabilityMode`],
+//! `--durability` on the CLI): `batch` (alias `fsync`), where an
+//! append is acknowledged only after an fsync that covers it, led by
+//! whichever appender finds no sync running, so appends that arrive
+//! during one fsync share the next; and `async` (write-to-OS,
+//! crash-safe but not power-safe, a background flusher syncs within
+//! ~50 ms). Periodic [snapshots](DurableLog::write_snapshot)
 //! bound replay time and let segments past the cover LSN compact away.
 //! [`DurableLog::open`] replays snapshot + tail with torn-write
 //! tolerance and returns the recovered state for the serve layer to
-//! rebuild from. `bench_durability` measures all three modes into
-//! `BENCH_durability.json`.
+//! rebuild from.
 
 mod log;
 mod record;

@@ -26,9 +26,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
-use ziggy_obs::span::{self, FlightRecorder};
+use ziggy_obs::span;
 use ziggy_obs::Histogram;
 
 use crate::record::{combine_csv_into, frame, parse_frame, Record};
@@ -40,16 +40,16 @@ use crate::state::{
 /// How hard an acknowledged append is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DurabilityMode {
-    /// `fsync(2)` before every acknowledgement. Survives power loss at
-    /// per-op cost.
-    Fsync,
-    /// Group commit: appends wait on a background flusher that issues
-    /// one fsync per commit interval for every append queued behind
-    /// it. Survives power loss; amortizes the fsync.
+    /// Group commit: an append is acknowledged only after an fsync
+    /// that covers it. The first appender to find no sync running
+    /// leads one for every record written so far; appenders arriving
+    /// during it wait, and the next of them leads the next batch.
+    /// Survives power loss; amortizes the fsync without a timer.
     #[default]
     Batch,
     /// Write to the OS and acknowledge. Survives process crashes
-    /// (SIGKILL) but not power loss.
+    /// (SIGKILL) but not power loss; a background flusher fsyncs
+    /// within about 50 ms of the last append.
     Async,
 }
 
@@ -57,7 +57,6 @@ impl DurabilityMode {
     /// The flag spelling, as accepted by `--durability`.
     pub fn as_str(&self) -> &'static str {
         match self {
-            DurabilityMode::Fsync => "fsync",
             DurabilityMode::Batch => "batch",
             DurabilityMode::Async => "async",
         }
@@ -67,13 +66,15 @@ impl DurabilityMode {
 impl std::str::FromStr for DurabilityMode {
     type Err = String;
 
+    /// `fsync` and `batched` are aliases of `batch`: every spelling of
+    /// "acknowledge after an fsync that covers the record" runs the
+    /// one commit path.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "fsync" => Ok(DurabilityMode::Fsync),
-            "batch" | "batched" => Ok(DurabilityMode::Batch),
+            "batch" | "batched" | "fsync" => Ok(DurabilityMode::Batch),
             "async" => Ok(DurabilityMode::Async),
             other => Err(format!(
-                "unknown durability mode {other:?} (expected fsync|batch|async)"
+                "unknown durability mode {other:?} (expected batch|async; fsync = batch)"
             )),
         }
     }
@@ -95,12 +96,6 @@ pub struct DurableOptions {
     /// Ask for a snapshot after this many records since the last one
     /// (`0` disables snapshotting; segments then grow forever).
     pub snapshot_every: u64,
-    /// Group-commit flush cadence (Batch mode only).
-    pub commit_interval: Duration,
-    /// How far behind the last append the background flusher may let
-    /// `async` mode run before fsyncing (bounds the power-loss window;
-    /// previously async data only reached disk on rotation).
-    pub async_flush_interval: Duration,
 }
 
 impl Default for DurableOptions {
@@ -109,11 +104,13 @@ impl Default for DurableOptions {
             mode: DurabilityMode::default(),
             segment_bytes: 4 * 1024 * 1024,
             snapshot_every: 256,
-            commit_interval: Duration::from_millis(2),
-            async_flush_interval: Duration::from_millis(50),
         }
     }
 }
+
+/// How far behind the last append the `async` flusher lets the log run
+/// before fsyncing (bounds that mode's power-loss window).
+const ASYNC_FLUSH_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Counters and latency ladders for the log, exported by the serve
 /// layer as `ziggy_durable_*` Prometheus families.
@@ -158,16 +155,24 @@ pub struct ReplayOutcome {
 }
 
 struct Writer {
-    file: File,
+    /// The active segment. Shared so a commit leader can fsync it
+    /// after releasing the writer lock; writes go through `&File`.
+    file: Arc<File>,
     seg_file: String,
     seg_bytes: u64,
     next_lsn: u64,
 }
 
+/// The group-commit ledger, guarded by `Inner::flush_state`. Every
+/// sync (a commit leader's, the `async` flusher's, [`DurableLog::sync`])
+/// claims it through [`FlushState::claim`] and reports back through
+/// [`FlushState::finish_sync`], so at most one runs at a time.
 #[derive(Default)]
 struct FlushState {
     written: u64,
     flushed: u64,
+    /// A claimed sync is running (its leader holds no lock meanwhile).
+    syncing: bool,
     io_error: bool,
     /// When the oldest not-yet-fsynced append landed (None = fully
     /// flushed); `flushed` vs `written` plus this instant is the
@@ -175,9 +180,61 @@ struct FlushState {
     oldest_pending: Option<Instant>,
 }
 
-/// The span context saved by the most recent append, so the background
-/// flusher can record its fsync under that request's trace.
-type SavedSpanCtx = (Arc<FlightRecorder>, String, String);
+/// What a caller waiting for `lsn` to be durable does next.
+#[derive(Debug, PartialEq, Eq)]
+enum Commit {
+    /// An fsync already covered it.
+    Done,
+    /// A sync is running; wait for it to finish, then ask again.
+    Wait,
+    /// The caller now owns `syncing` and must run the sync.
+    Lead,
+    /// An earlier fsync failed; nothing after it is acknowledged.
+    Failed,
+}
+
+impl FlushState {
+    /// Notes that every record up to `lsn` is written to the OS.
+    fn wrote(&mut self, lsn: u64) {
+        self.written = self.written.max(lsn);
+        self.oldest_pending.get_or_insert_with(Instant::now);
+    }
+
+    /// Decides the next move for a caller waiting on `lsn`, claiming
+    /// `syncing` when that move is [`Commit::Lead`].
+    fn claim(&mut self, lsn: u64) -> Commit {
+        if self.flushed >= lsn {
+            Commit::Done
+        } else if self.io_error {
+            Commit::Failed
+        } else if self.syncing {
+            Commit::Wait
+        } else {
+            self.syncing = true;
+            Commit::Lead
+        }
+    }
+
+    /// Records the end of a claimed sync that covered every record up
+    /// to `target`, returning how many records it made durable (0 on
+    /// failure, which instead sets the sticky `io_error`).
+    fn finish_sync(&mut self, target: u64, ok: bool) -> u64 {
+        self.syncing = false;
+        if !ok {
+            self.io_error = true;
+            return 0;
+        }
+        let covered = target.saturating_sub(self.flushed);
+        self.flushed = self.flushed.max(target);
+        self.oldest_pending = if self.flushed >= self.written {
+            None
+        } else {
+            // Whatever is still pending arrived during this sync.
+            Some(Instant::now())
+        };
+        covered
+    }
+}
 
 struct Inner {
     dir: PathBuf,
@@ -191,7 +248,6 @@ struct Inner {
     snapshot_lsn: AtomicU64,
     since_snapshot: AtomicU64,
     snapshotting: AtomicBool,
-    last_span_ctx: Mutex<Option<SavedSpanCtx>>,
 }
 
 /// A per-backend durable log. One instance per data directory; share
@@ -369,7 +425,7 @@ impl DurableLog {
             dir: dir.to_path_buf(),
             opts,
             writer: Mutex::new(Writer {
-                file,
+                file: Arc::new(file),
                 seg_file,
                 seg_bytes,
                 next_lsn,
@@ -377,8 +433,7 @@ impl DurableLog {
             flush_state: Mutex::new(FlushState {
                 written: next_lsn.saturating_sub(1),
                 flushed: next_lsn.saturating_sub(1),
-                io_error: false,
-                oldest_pending: None,
+                ..FlushState::default()
             }),
             flush_cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -387,27 +442,19 @@ impl DurableLog {
             snapshot_lsn: AtomicU64::new(snap_lsn),
             since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
-            last_span_ctx: Mutex::new(None),
         });
 
-        // Batch needs the flusher for group commit; Async needs it to
+        // Batch appends commit themselves; Async needs a flusher to
         // bound the power-loss window (fsync at most
-        // `async_flush_interval` behind the last append instead of only
+        // `ASYNC_FLUSH_INTERVAL` behind the last append instead of only
         // on rotation).
-        let flusher = if matches!(
-            inner.opts.mode,
-            DurabilityMode::Batch | DurabilityMode::Async
-        ) {
+        let flusher = (inner.opts.mode == DurabilityMode::Async).then(|| {
             let worker = Arc::clone(&inner);
-            Some(
-                thread::Builder::new()
-                    .name("ziggy-durable-flush".into())
-                    .spawn(move || worker.flush_loop())
-                    .expect("spawn group-commit flusher"),
-            )
-        } else {
-            None
-        };
+            thread::Builder::new()
+                .name("ziggy-durable-flush".into())
+                .spawn(move || worker.flush_loop())
+                .expect("spawn async flusher")
+        });
 
         Ok((
             DurableLog {
@@ -430,15 +477,6 @@ impl DurableLog {
         if let Some(s) = append_span.as_mut() {
             s.attr("mode", self.inner.opts.mode.as_str());
         }
-        // Save the caller's span context so the background flusher can
-        // attribute its next fsync to this request's trace.
-        if let Some(ctx) = span::current_recorder() {
-            *self
-                .inner
-                .last_span_ctx
-                .lock()
-                .expect("durable span ctx lock") = Some(ctx);
-        }
         let payload = rec.encode();
         let inner = &self.inner;
 
@@ -450,58 +488,17 @@ impl DurableLog {
         }
         let offset = w.seg_bytes;
         let seg_file = w.seg_file.clone();
-        w.file.write_all(line.as_bytes())?;
+        (&*w.file).write_all(line.as_bytes())?;
         w.next_lsn = lsn + 1;
         w.seg_bytes += line.len() as u64;
-
-        match inner.opts.mode {
-            DurabilityMode::Fsync => {
-                let f0 = Instant::now();
-                {
-                    let mut fsync_span = span::child("durable.fsync");
-                    if let Some(s) = fsync_span.as_mut() {
-                        s.attr("batch", "1");
-                    }
-                    let result = w.file.sync_data();
-                    if let (Some(s), true) = (fsync_span.as_mut(), result.is_err()) {
-                        s.set_error(true);
-                    }
-                    result?;
-                }
-                inner.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .metrics
-                    .fsync_latency
-                    .record_us(f0.elapsed().as_micros() as u64);
-                drop(w);
-            }
-            DurabilityMode::Async => {
-                {
-                    let mut st = inner.flush_state.lock().expect("flush state lock");
-                    st.written = st.written.max(lsn);
-                    st.oldest_pending.get_or_insert_with(Instant::now);
-                }
-                drop(w);
-            }
-            DurabilityMode::Batch => {
-                {
-                    let mut st = inner.flush_state.lock().expect("flush state lock");
-                    st.written = st.written.max(lsn);
-                    st.oldest_pending.get_or_insert_with(Instant::now);
-                }
-                drop(w);
-                let mut st = inner.flush_state.lock().expect("flush state lock");
-                while st.flushed < lsn && !st.io_error && !inner.stop.load(Ordering::Relaxed) {
-                    let (guard, _timeout) = inner
-                        .flush_cv
-                        .wait_timeout(st, Duration::from_millis(50))
-                        .expect("flush state wait");
-                    st = guard;
-                }
-                if st.io_error {
-                    return Err(io::Error::other("group-commit fsync failed"));
-                }
-            }
+        inner
+            .flush_state
+            .lock()
+            .expect("flush state lock")
+            .wrote(lsn);
+        drop(w);
+        if inner.opts.mode == DurabilityMode::Batch {
+            inner.commit(lsn)?;
         }
 
         // Index the CSV location so exports read from the log instead
@@ -778,25 +775,23 @@ impl DurableLog {
         self.inner.snapshot_lsn.load(Ordering::Acquire)
     }
 
-    /// Forces every buffered byte to disk (used at graceful shutdown
+    /// Forces every written record to disk (used at graceful shutdown
     /// and by tests; Batch/Async callers otherwise rely on the mode's
     /// own guarantees).
     pub fn sync(&self) -> io::Result<()> {
-        let w = self.inner.writer.lock().expect("durable writer lock");
-        w.file.sync_data()?;
-        self.inner.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.inner.flush_state.lock().expect("flush state lock");
-        st.flushed = st.flushed.max(st.written);
-        st.oldest_pending = None;
-        self.inner.flush_cv.notify_all();
-        Ok(())
+        let written = self
+            .inner
+            .flush_state
+            .lock()
+            .expect("flush state lock")
+            .written;
+        self.inner.commit(written)
     }
 
     /// Milliseconds the oldest acknowledged-but-unflushed append has
     /// been waiting for its fsync (0 = everything acknowledged is on
     /// disk). Only `async` mode runs a nonzero lag in steady state; the
-    /// background flusher bounds it to about
-    /// [`DurableOptions::async_flush_interval`].
+    /// background flusher bounds it to about 50 ms.
     pub fn async_lag_ms(&self) -> u64 {
         let st = self.inner.flush_state.lock().expect("flush state lock");
         if st.flushed >= st.written {
@@ -821,78 +816,75 @@ impl Inner {
             .append(true)
             .open(self.dir.join(&name))?;
         sync_dir(&self.dir)?;
-        w.file = file;
+        w.file = Arc::new(file);
         w.seg_file = name;
         w.seg_bytes = 0;
         Ok(())
     }
 
-    fn flush_loop(self: &Arc<Self>) {
-        let interval = match self.opts.mode {
-            DurabilityMode::Batch => self.opts.commit_interval,
-            _ => self.opts.async_flush_interval,
-        };
+    /// Returns once every record up to `lsn` is durable: done if an
+    /// fsync already covered it, waiting while another caller's sync
+    /// runs, and otherwise leading the sync itself. The leader holds no
+    /// lock across its fsync, so records written meanwhile queue up as
+    /// the next leader's batch.
+    fn commit(&self, lsn: u64) -> io::Result<()> {
+        let mut st = self.flush_state.lock().expect("flush state lock");
         loop {
-            thread::sleep(interval);
-            let (target, flushed) = {
-                let st = self.flush_state.lock().expect("flush state lock");
-                (st.written, st.flushed)
-            };
-            if target > flushed {
-                let f0 = Instant::now();
-                let start_unix_us = SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_micros() as u64)
-                    .unwrap_or(0);
-                let result = {
-                    let w = self.writer.lock().expect("durable writer lock");
-                    w.file.sync_data()
-                };
-                self.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .fsync_latency
-                    .record_us(f0.elapsed().as_micros() as u64);
-                // Attribute this fsync to the trace whose append queued
-                // it last — the flusher runs outside any request, so it
-                // records through the context that append saved.
-                if let Some((recorder, trace, parent)) = self
-                    .last_span_ctx
-                    .lock()
-                    .expect("durable span ctx lock")
-                    .take()
-                {
-                    recorder.record_span(
-                        &trace,
-                        Some(&parent),
-                        "durable.fsync",
-                        start_unix_us,
-                        f0.elapsed().as_micros() as u64,
-                        &[("batch", (target - flushed).to_string())],
-                        result.is_err(),
-                    );
+            match st.claim(lsn) {
+                Commit::Done => return Ok(()),
+                Commit::Failed => return Err(io::Error::other("group-commit fsync failed")),
+                Commit::Wait => st = self.flush_cv.wait(st).expect("flush state wait"),
+                Commit::Lead => {
+                    drop(st);
+                    self.lead_sync();
+                    st = self.flush_state.lock().expect("flush state lock");
                 }
-                let mut st = self.flush_state.lock().expect("flush state lock");
-                match result {
-                    Ok(()) => {
-                        if target > flushed + 1 {
-                            self.metrics.group_commits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        st.flushed = st.flushed.max(target);
-                        st.oldest_pending = if st.flushed >= st.written {
-                            None
-                        } else {
-                            // Whatever is still pending arrived during
-                            // the fsync just issued.
-                            Some(Instant::now())
-                        };
-                    }
-                    Err(_) => st.io_error = true,
-                }
-                self.flush_cv.notify_all();
             }
+        }
+    }
+
+    /// Runs the sync claimed by [`FlushState::claim`]: fsyncs the active
+    /// segment up to the last written LSN, records the outcome and wakes
+    /// every waiter. Rotation seals older segments with their own fsync,
+    /// so the captured file covers every record up to `target` that no
+    /// sealed segment holds.
+    fn lead_sync(&self) {
+        let (file, target) = {
+            let w = self.writer.lock().expect("durable writer lock");
+            (Arc::clone(&w.file), w.next_lsn - 1)
+        };
+        let mut fsync_span = span::child("durable.fsync");
+        let f0 = Instant::now();
+        let ok = file.sync_data().is_ok();
+        self.metrics.fsyncs.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .fsync_latency
+            .record_us(f0.elapsed().as_micros() as u64);
+        let covered = self
+            .flush_state
+            .lock()
+            .expect("flush state lock")
+            .finish_sync(target, ok);
+        self.flush_cv.notify_all();
+        if covered > 1 {
+            self.metrics.group_commits.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(s) = fsync_span.as_mut() {
+            s.attr("batch", covered.to_string());
+            s.set_error(!ok);
+        }
+    }
+
+    /// The `async` mode flusher: every [`ASYNC_FLUSH_INTERVAL`], syncs
+    /// whatever has been written since the last sync.
+    fn flush_loop(&self) {
+        loop {
+            thread::sleep(ASYNC_FLUSH_INTERVAL);
+            let written = self.flush_state.lock().expect("flush state lock").written;
+            // A failed fsync stays sticky in the flush state; async
+            // appends are acknowledged before any sync either way.
+            let _ = self.commit(written);
             if self.stop.load(Ordering::Relaxed) {
-                // One last drain ran above; wake any stragglers.
-                self.flush_cv.notify_all();
                 return;
             }
         }
@@ -902,7 +894,6 @@ impl Inner {
 impl Drop for DurableLog {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Relaxed);
-        self.inner.flush_cv.notify_all();
         if let Some(handle) = self.flusher.lock().expect("flusher handle lock").take() {
             let _ = handle.join();
         }
@@ -918,5 +909,65 @@ impl std::fmt::Debug for DurableLog {
             .field("dir", &self.inner.dir)
             .field("mode", &self.inner.opts.mode)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn followers_written_during_a_sync_form_the_next_batch() {
+        let mut st = FlushState::default();
+        // A writes lsn 1 and, finding no sync running, leads.
+        st.wrote(1);
+        assert_eq!(st.claim(1), Commit::Lead);
+        // B and C write during A's sync: both wait on it.
+        st.wrote(2);
+        st.wrote(3);
+        assert_eq!(st.claim(2), Commit::Wait);
+        assert_eq!(st.claim(3), Commit::Wait);
+        // A's sync covered only what was written when it started.
+        assert_eq!(st.finish_sync(1, true), 1);
+        assert_eq!(st.claim(1), Commit::Done);
+        // B wakes first and leads the rest; C waits on B.
+        assert_eq!(st.claim(2), Commit::Lead);
+        assert_eq!(st.claim(3), Commit::Wait);
+        assert_eq!(st.finish_sync(3, true), 2, "B's sync is a group commit");
+        assert_eq!(st.claim(3), Commit::Done);
+        assert_eq!(st.claim(2), Commit::Done);
+        assert!(st.oldest_pending.is_none(), "fully flushed");
+    }
+
+    #[test]
+    fn a_failed_sync_fails_its_waiters_and_every_later_append() {
+        let mut st = FlushState::default();
+        st.wrote(1);
+        assert_eq!(st.claim(1), Commit::Lead);
+        st.wrote(2);
+        assert_eq!(st.claim(2), Commit::Wait);
+        assert_eq!(st.finish_sync(1, false), 0);
+        // The leader and its waiter both see the failure...
+        assert_eq!(st.claim(1), Commit::Failed);
+        assert_eq!(st.claim(2), Commit::Failed);
+        // ...and so does every later append: no new leader is elected.
+        st.wrote(3);
+        assert_eq!(st.claim(3), Commit::Failed);
+        assert!(!st.syncing);
+    }
+
+    #[test]
+    fn durability_flag_spellings() {
+        for (flag, mode) in [
+            ("batch", DurabilityMode::Batch),
+            ("batched", DurabilityMode::Batch),
+            ("fsync", DurabilityMode::Batch),
+            ("async", DurabilityMode::Async),
+        ] {
+            assert_eq!(flag.parse::<DurabilityMode>(), Ok(mode), "{flag}");
+        }
+        for bad in ["", "Fsync", "sync", "none"] {
+            assert!(bad.parse::<DurabilityMode>().is_err(), "{bad:?}");
+        }
     }
 }

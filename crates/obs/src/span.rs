@@ -238,7 +238,7 @@ impl FlightRecorder {
 
     /// Appends an already-finished span to its trace — the escape
     /// hatch for spans measured outside a guard (stage timings lifted
-    /// from a report, a background flusher's fsync). Lands in the open
+    /// from a report). Lands in the open
     /// trace when one exists, else in the committed ring entry; spans
     /// for unknown traces are dropped.
     #[allow(clippy::too_many_arguments)]
@@ -518,10 +518,10 @@ pub fn adopt(recorder: Arc<FlightRecorder>, trace_id: &str, span_id: &str) -> Ad
     }
 }
 
-/// The thread's current context frame *including its recorder* —
-/// for handing span recording to a background thread (the durable
-/// flusher records its group-commit fsync under the trace of the
-/// request that queued the append).
+/// The thread's current context frame *including its recorder* — for
+/// recording spans that did not run under a guard on this thread
+/// (pipeline stages tiled back from their timings) or for handing the
+/// context to worker threads through [`adopt`].
 pub fn current_recorder() -> Option<(Arc<FlightRecorder>, String, String)> {
     CONTEXT.with(|ctx| {
         ctx.borrow().last().map(|f| {

@@ -40,7 +40,7 @@
 //! bytes already on disk for crash recovery do double duty. Every
 //! mutation (ingest, delete, session create/step/delete) is logged
 //! before it is acknowledged, per [`ServeOptions::durability`]
-//! (`fsync` per-op / `batch` group commit / `async` write-to-OS), and
+//! (`batch` group commit, alias `fsync` / `async` write-to-OS), and
 //! boot replays the newest snapshot plus the log tail — tables,
 //! tombstones, and sessions all come back, and replayed reports are
 //! byte-identical (same `ETag`s) because wire bytes are a pure function

@@ -879,7 +879,7 @@ mod tests {
 
     fn open_durable(dir: &std::path::Path) -> (TableRegistry, Arc<DurableLog>) {
         let opts = ziggy_durable::DurableOptions {
-            mode: ziggy_durable::DurabilityMode::Fsync,
+            mode: ziggy_durable::DurabilityMode::Batch,
             snapshot_every: 0,
             ..Default::default()
         };

@@ -313,7 +313,7 @@ fn handle_healthz(state: &ServeState) -> Result<Response, ApiError> {
 fn handle_metrics(state: &ServeState, req: &Request) -> Result<Response, ApiError> {
     // Sweep first so `sessions_expired` reflects idle sessions even on a
     // server receiving no session traffic.
-    state.sessions.sweep_expired();
+    sweep_sessions(state);
     if req.query_param("format") == Some("prometheus") {
         let doc = metrics::render_prometheus(SERVE_FAMILIES, state);
         return Ok(Response::new(200, doc.render())
@@ -575,6 +575,18 @@ fn handle_delete_table(
     ))
 }
 
+/// Evicts idle sessions and logs a `SessionDelete` for each, so replay
+/// does not bring an expired session back. Best-effort, like the
+/// create-unwind: a failed append leaves the eviction in memory only.
+fn sweep_sessions(state: &ServeState) {
+    let expired = state.sessions.sweep_expired();
+    if let Some(log) = state.registry.durable() {
+        for id in expired {
+            let _ = log.append(&Record::SessionDelete { id });
+        }
+    }
+}
+
 fn parse_session_id(id: &str) -> Result<u64, ApiError> {
     id.parse()
         .map_err(|_| ApiError::bad_request("session id must be an integer"))
@@ -616,6 +628,7 @@ fn handle_create_session(state: &ServeState, body: &[u8]) -> Result<Response, Ap
     let resume = parsed.get("resume").map(parse_resume).transpose()?;
     let entry = state.registry.get(table)?;
     let (last_query, steps) = resume.map_or((None, 0), |(q, n)| (Some(q), n));
+    sweep_sessions(state);
     let id = state
         .sessions
         .resume(std::sync::Arc::clone(&entry), last_query, steps)?;
@@ -690,6 +703,7 @@ fn handle_session_step(state: &ServeState, id: &str, body: &[u8]) -> Result<Resp
     if let Some(g) = guard.as_mut() {
         g.attr("session", id.to_string());
     }
+    sweep_sessions(state);
     let outcome = state.sessions.step(id, query)?;
     if let Some(g) = guard.as_mut() {
         g.attr("step", outcome.step.to_string());
@@ -1464,7 +1478,7 @@ mod tests {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let boot = |state: &ServeState| {
-                crate::boot_durable(state, &dir, crate::DurabilityMode::Fsync, snapshot_every)
+                crate::boot_durable(state, &dir, crate::DurabilityMode::Batch, snapshot_every)
                     .unwrap()
             };
             {
@@ -1753,6 +1767,59 @@ mod tests {
             assert!(r.body.contains("\"step\":4"), "{}", r.body);
             assert_eq!(diff_of(&r), diff_of(&original));
         }
+        drop(state);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn expired_sessions_stay_closed_across_replay() {
+        let dir =
+            std::env::temp_dir().join(format!("ziggy-serve-router-{}-expiry", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let boot = |state: &ServeState| {
+            crate::boot_durable(state, &dir, crate::DurabilityMode::Batch, 0).unwrap()
+        };
+        {
+            let state = ServeState::default();
+            boot(&state);
+            state
+                .sessions
+                .set_ttl(Some(std::time::Duration::from_millis(30)));
+            let body = serde_json::to_string(&Value::Object(vec![
+                ("name".into(), Value::String("t".into())),
+                ("csv".into(), Value::String(demo_csv())),
+            ]))
+            .unwrap();
+            assert_eq!(
+                route(&state, &request("POST", "/tables", &body)).status,
+                201
+            );
+            for _ in 0..2 {
+                let r = route(&state, &request("POST", "/sessions", r#"{"table":"t"}"#));
+                assert_eq!(r.status, 201, "{}", r.body);
+            }
+            let step = step_body("key >= 150");
+            let r = route(&state, &request("POST", "/sessions/1/step", &step));
+            assert_eq!(r.status, 200, "{}", r.body);
+            // Session 1 idles past the TTL; creating session 3 sweeps it
+            // (and the never-stepped session 2) away.
+            std::thread::sleep(std::time::Duration::from_millis(60));
+            let r = route(&state, &request("POST", "/sessions", r#"{"table":"t"}"#));
+            assert!(r.body.contains("\"session_id\":3"), "{}", r.body);
+            assert_eq!(state.sessions.len(), 1);
+        }
+        // Replay must not resurrect the swept sessions.
+        let state = ServeState::default();
+        boot(&state);
+        assert_eq!(state.sessions.len(), 1);
+        let step = step_body("key >= 150");
+        for id in [1, 2] {
+            let path = format!("/sessions/{id}/step");
+            let r = route(&state, &request("POST", &path, &step));
+            assert_eq!(r.status, 404, "session {id} came back: {}", r.body);
+        }
+        let r = route(&state, &request("POST", "/sessions/3/step", &step));
+        assert!(r.body.contains("\"step\":1"), "{}", r.body);
         drop(state);
         let _ = std::fs::remove_dir_all(&dir);
     }

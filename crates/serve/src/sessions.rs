@@ -130,41 +130,47 @@ impl SessionManager {
         self.expired.load(Ordering::Relaxed)
     }
 
-    /// Evicts every session idle past the TTL, returning how many were
-    /// dropped. Runs lazily from `create`/`step` (and `/metrics`), so no
-    /// background thread is needed: an idle server holds at most a
-    /// sweep's worth of stale sessions until the next request.
+    /// Evicts every session idle past the TTL, returning the evicted
+    /// ids. The router runs it lazily ahead of session create/step (and
+    /// `/metrics`) and logs a `SessionDelete` per id, so no background
+    /// thread is needed and replay does not bring an expired session
+    /// back: an idle server holds at most a sweep's worth of stale
+    /// sessions until the next request.
     ///
     /// Sweeps are throttled to ~8 per TTL (at least 10ms apart): a full
     /// sweep takes the map write lock and locks every session, which
     /// must not be paid per step on a busy server. The skipped calls
-    /// return 0; expiry granularity is the throttle interval, which is
-    /// negligible against any real TTL.
-    pub fn sweep_expired(&self) -> usize {
-        let Some(ttl) = self.ttl() else { return 0 };
+    /// evict nothing; expiry granularity is the throttle interval, which
+    /// is negligible against any real TTL.
+    pub fn sweep_expired(&self) -> Vec<u64> {
+        let Some(ttl) = self.ttl() else {
+            return Vec::new();
+        };
         let interval = (ttl / 8).max(Duration::from_millis(10));
         {
             let mut last = self.last_sweep.lock();
             let now = Instant::now();
             match *last {
-                Some(prev) if now.duration_since(prev) < interval => return 0,
+                Some(prev) if now.duration_since(prev) < interval => return Vec::new(),
                 _ => *last = Some(now),
             }
         }
         let now = Instant::now();
-        let mut sessions = self.sessions.write();
-        let before = sessions.len();
+        let mut expired = Vec::new();
         // try_lock, never lock: blocking on a session's mutex here —
         // while holding the map write lock — would stall every other
         // session behind one slow step. A locked session is in use
         // right now, which is the opposite of idle: keep it.
-        sessions.retain(|_, s| match s.try_lock() {
-            Some(session) => now.duration_since(session.last_used) < ttl,
-            None => true,
+        self.sessions.write().retain(|id, s| match s.try_lock() {
+            Some(session) if now.duration_since(session.last_used) >= ttl => {
+                expired.push(*id);
+                false
+            }
+            _ => true,
         });
-        let dropped = before - sessions.len();
-        self.expired.fetch_add(dropped as u64, Ordering::Relaxed);
-        dropped
+        self.expired
+            .fetch_add(expired.len() as u64, Ordering::Relaxed);
+        expired
     }
 
     /// Opens a session over `table`, returning its id.
@@ -183,7 +189,6 @@ impl SessionManager {
         last_query: Option<&str>,
         steps: u64,
     ) -> Result<u64, ApiError> {
-        self.sweep_expired();
         let previous = previous_report(&table, last_query)?;
         let mut sessions = self.sessions.write();
         if sessions.len() >= MAX_SESSIONS {
@@ -288,7 +293,6 @@ impl SessionManager {
     /// clients on different sessions (even on the same table) proceed
     /// in parallel.
     pub fn step(&self, id: u64, query: &str) -> Result<StepOutcome, ApiError> {
-        self.sweep_expired();
         let session = self
             .sessions
             .read()
@@ -429,18 +433,23 @@ mod tests {
         m.set_ttl(Some(Duration::from_millis(30)));
         let stale = m.create(Arc::clone(&entry)).unwrap();
         std::thread::sleep(Duration::from_millis(60));
-        // A fresh session created now survives the sweep the creation
-        // itself triggers; the stale one is evicted by it.
         let fresh = m.create(Arc::clone(&entry)).unwrap();
+        // A session created just now survives the sweep; the stale one
+        // is evicted by it, and its id is returned for the WAL.
+        assert_eq!(m.sweep_expired(), vec![stale]);
         assert_eq!(m.len(), 1);
         assert_eq!(m.expired_total(), 1);
         assert_eq!(m.step(stale, "key >= 150").unwrap_err().status, 404);
-        // Stepping refreshes the idle clock.
+        // Stepping refreshes the idle clock: 40ms after its creation
+        // but 20ms after its last step, `fresh` is not idle.
         std::thread::sleep(Duration::from_millis(20));
         m.step(fresh, "key >= 150").unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        m.step(fresh, "key >= 150").unwrap();
-        assert_eq!(m.expired_total(), 1, "active sessions must not expire");
+        assert!(
+            m.sweep_expired().is_empty(),
+            "active sessions must not expire"
+        );
+        assert_eq!(m.expired_total(), 1);
     }
 
     #[test]
@@ -449,7 +458,7 @@ mod tests {
         let m = SessionManager::new();
         assert!(m.ttl().is_none());
         m.create(entry).unwrap();
-        assert_eq!(m.sweep_expired(), 0);
+        assert!(m.sweep_expired().is_empty());
         assert_eq!(m.len(), 1);
     }
 

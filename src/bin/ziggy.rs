@@ -48,7 +48,7 @@ fn print_usage() {
          --session-ttl SECS       evict sessions idle past SECS (default 3600, 0 = off)\n  \
          --port-file PATH         write the bound address to PATH once listening\n  \
          --data-dir PATH          durability tier: WAL + snapshots in PATH, replayed on boot\n  \
-         --durability MODE        fsync | batch | async (default batch; needs --data-dir)\n  \
+         --durability MODE        batch | async (default batch, fsync = batch; needs --data-dir)\n  \
          --snapshot-every N       snapshot + compact every N records (default 256)\n  \
          --slow-ms MS             slow-query threshold: pin + log traces at/past MS (default 250)\n\n\
          fleet options:\n  \
@@ -63,7 +63,7 @@ fn print_usage() {
          --no-restart             report dead backends instead of restart-with-rejoin\n  \
          --demo                   preload the crime synthetic twin as table `crime`\n  \
          --data-dir PATH          per-backend durability: each shard logs to PATH/<id>\n  \
-         --durability MODE        fsync | batch | async for every backend (default batch)\n  \
+         --durability MODE        batch | async for every backend (default batch, fsync = batch)\n  \
          --snapshot-every N       per-backend snapshot cadence (default 256)\n  \
          --slow-ms MS             slow-query threshold for router and backends (default 250)\n\n\
          the fleet router also serves POST /admin/backends {{\"id\",\"addr\"}} and\n\
@@ -140,7 +140,7 @@ fn run_serve(args: &[String]) {
             },
             "--durability" => match it.next().map(|v| v.parse()) {
                 Some(Ok(mode)) => options.durability = mode,
-                _ => die("--durability needs one of: fsync, batch, async"),
+                _ => die("--durability needs one of: batch, async (fsync = batch)"),
             },
             "--snapshot-every" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) if n > 0 => options.snapshot_every = n,
@@ -254,7 +254,7 @@ fn run_fleet(args: &[String]) {
                 Some(v) if v.parse::<ziggy::serve::DurabilityMode>().is_ok() => {
                     durability = Some(v.clone())
                 }
-                _ => die("--durability needs one of: fsync, batch, async"),
+                _ => die("--durability needs one of: batch, async (fsync = batch)"),
             },
             "--snapshot-every" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) if n > 0 => snapshot_every = Some(n),

@@ -15,11 +15,12 @@
 //! Plus the R=1 drain-loss path: removing the sole holder of a table
 //! copies the data out before the membership changes.
 //!
-//! The durability mode comes from `ZIGGY_DURABILITY` (`fsync`, `batch`,
-//! or `async`; default `batch`) so CI can run the whole file once per
-//! mode. Every invariant here must hold under all three — `async` still
-//! flushes on rotation and the tests sync via acknowledged HTTP
-//! responses plus the drop-free SIGKILL path exercised by `kill()`.
+//! The durability mode comes from `ZIGGY_DURABILITY` (`batch` or
+//! `async`, default `batch`; `fsync` is an alias of `batch`) so CI can
+//! run the whole file once per mode. Every invariant here must hold
+//! under both — `async` still flushes on rotation and the tests sync
+//! via acknowledged HTTP responses plus the drop-free SIGKILL path
+//! exercised by `kill()`.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
